@@ -8,6 +8,7 @@ across backends; only speed differs.
     python3 benchmarks/backend_bench.py
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -60,14 +61,14 @@ for name, dt in rows:
 
 def main() -> int:
     for backend in ("gmpy2", "fraction"):
+        if backend == "gmpy2" and importlib.util.find_spec("gmpy2") is None:
+            print("gmpy2 not installed; skipping")
+            continue
         env = dict(os.environ, BIFREE_RATIONAL_BACKEND=backend)
         proc = subprocess.run(
             [sys.executable, "-c", WORKLOAD], env=env, capture_output=True, text=True
         )
         if proc.returncode != 0:
-            if backend == "gmpy2" and "ImportError" in proc.stderr:
-                print("gmpy2 not installed; skipping")
-                continue
             sys.stderr.write(proc.stderr)
             return proc.returncode
         sys.stdout.write(proc.stdout)

@@ -5,8 +5,7 @@ Fock-space and group-algebra realizations."""
 
 from .clt import CltReport, clt_report, scaled_sum_dist, scaled_sum_dist_direct
 from .convolve import boxplus2, boxtimes2
-from .cumulant import (ConvolutionPowerCache, cumulants_from_moments, dilate,
-                       free_cumulant_oracle, moments_from_cumulants)
+from .cumulant import cumulants_from_moments, dilate, moments_from_cumulants
 from .dist import (CumulantTable, Distribution, group_families, ones_distribution,
                    point_distribution)
 from .engine import (BifreenessReport, ReducedVector, TensorState, apply_left,
@@ -14,12 +13,11 @@ from .engine import (BifreenessReport, ReducedVector, TensorState, apply_left,
                      reduced_vector, vacuum_coefficient, vacuum_state)
 from .errors import (BifreeError, DomainError, IncompleteTableError, InvolutionError,
                      NormalizationError, ParseError, SignatureError, TruncationError)
-from .io import (format_cumulant_table, format_distribution, parse_cumulant_table,
-                 parse_distribution)
+from .io import (format_cumulant_table, format_distribution, parse_covariance,
+                 parse_cumulant_table, parse_distribution, parse_vector_spec)
 from .models import (CovarianceSpec, FockState, PsdResult, VectorSpec,
                      covariance_from_vectors, fock_apply, fock_distribution,
-                     fock_moment, gaussian_dist, gram_psd_check, group_example_dist,
-                     parse_covariance, parse_vector_spec)
+                     fock_moment, gaussian_dist, gram_psd_check, group_example_dist)
 from .scalars import ONE, ZERO, GaussianRational, qi
 from .words import (LEFT, RIGHT, FaceSignature, FamilyFaces, Letter, format_word,
                     two_faced, union_signatures, word_star)

@@ -18,11 +18,10 @@ from .cumulant import cumulants_from_moments, moments_from_cumulants
 from .dist import Distribution
 from .engine import bifree_product, check_bifree
 from .errors import BifreeError
-from .io import (format_cumulant_table, format_distribution, parse_cumulant_table,
-                 parse_distribution)
+from .io import (format_cumulant_table, format_distribution, parse_covariance,
+                 parse_cumulant_table, parse_distribution, parse_vector_spec)
 from .models import (covariance_from_vectors, fock_distribution, gaussian_dist,
-                     gram_psd_check, group_example_dist, parse_covariance,
-                     parse_vector_spec)
+                     gram_psd_check, group_example_dist)
 from .scalars import decimal_magnitude, format_scalar
 from .words import format_word
 

@@ -1,58 +1,60 @@
 """Cumulants of two-faced distributions.
 
-The moment-to-cumulant transform realizes the logarithm of the unipotent
-group of truncated moment tuples under additive convolution: the N-th
-convolution power of a distribution is, word by word, a polynomial in N of
-degree at most the word length with zero constant term, and the cumulant
-of a word is the N-linear coefficient of that polynomial.  The coefficient
-is extracted exactly from the powers at N = 0..n by Newton forward
-differences.
-
-The inverse transform solves for moments degree by degree: the unknown
-moment of a word enters its own cumulant with coefficient one, so probing
-the transform with that moment set to zero isolates it.
+Bi-free cumulants are the free cumulants of each word read in the order
+s_chi: left positions ascending, then right positions descending
+(Charlesworth-Nelson-Skoufranis; Mastnak-Nica).  The moment of a word is
+therefore the sum, over the blocks B holding the s_chi-first letter, of
+kappa(w|B) times the moments of the gaps that B cuts from the s_chi order,
+every sub-word keeping the positions' original order.  The block B = whole
+word contributes kappa(w) itself, so walking the words in graded order
+solves that one identity for the cumulant or for the moment alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .convolve import boxplus2
-from .dist import CumulantTable, Distribution, point_distribution
-from .errors import DomainError, TruncationError
+from .dist import CumulantTable, Distribution
+from .errors import TruncationError
 from .scalars import ONE, ZERO, GaussianRational
-from .words import Word
+from .words import LEFT, Word
 
 
-@dataclass
-class ConvolutionPowerCache:
-    """Additive convolution powers of a base distribution, built on demand."""
-
-    base: Distribution
-    powers: dict[int, Distribution] = field(default_factory=dict)
-
-    def power(self, n: int) -> Distribution:
-        if n not in self.powers:
-            if n == 0:
-                self.powers[0] = point_distribution(self.base.signature, self.base.degree)
-            elif n == 1:
-                self.powers[1] = self.base
+@lru_cache(maxsize=None)
+def _first_blocks(lefts: tuple[bool, ...]):
+    """(block, gaps) position tuples for every proper block holding the
+    s_chi-first position of a word whose left positions are flagged."""
+    n = len(lefts)
+    order = [i for i in range(n) if lefts[i]] + [i for i in reversed(range(n)) if not lefts[i]]
+    out = []
+    for mask in range((1 << (n - 1)) - 1):
+        block, gaps, run = [order[0]], [], []
+        for k, pos in enumerate(order[1:]):
+            if mask >> k & 1:
+                block.append(pos)
+                if run:
+                    gaps.append(tuple(sorted(run)))
+                    run = []
             else:
-                self.powers[n] = boxplus2(self.power(n - 1), self.base, self.base.degree)
-        return self.powers[n]
+                run.append(pos)
+        if run:
+            gaps.append(tuple(sorted(run)))
+        out.append((tuple(sorted(block)), tuple(gaps)))
+    return tuple(out)
 
 
-def _linear_coefficient(values) -> GaussianRational:
-    """N-coefficient of the polynomial interpolating values at N = 0, 1, ..."""
-    row = list(values)
-    result = ZERO
-    sign = 1
-    for m in range(1, len(values)):
-        row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
-        result = result + sign * (row[0] / m)
-        sign = -sign
-    return result
+def _lower_terms(word: Word, kappa, mu) -> GaussianRational:
+    """mu(w) - kappa(w): the first-block sum without the whole-word block."""
+    total = ZERO
+    for block, gaps in _first_blocks(tuple(letter.side == LEFT for letter in word)):
+        term = kappa[tuple(word[i] for i in block)]
+        for gap in gaps:
+            if not term:
+                break
+            term = term * mu[tuple(word[i] for i in gap)]
+        if term:
+            total = total + term
+    return total
 
 
 def cumulants_from_moments(mu: Distribution, degree: int) -> CumulantTable:
@@ -61,16 +63,11 @@ def cumulants_from_moments(mu: Distribution, degree: int) -> CumulantTable:
         raise TruncationError(
             f"cumulants at degree {degree} need moments at that degree"
         )
-    cache = ConvolutionPowerCache(mu)
-    values = {}
+    kappa: dict[Word, GaussianRational] = {}
     for word in mu.signature.words(degree):
-        n = len(word)
-        if n == 0:
-            continue
-        values[word] = _linear_coefficient(
-            [cache.power(k).moment(word) for k in range(n + 1)]
-        )
-    return CumulantTable(mu.signature, degree, values)
+        if word:
+            kappa[word] = mu.moments[word] - _lower_terms(word, kappa, mu.moments)
+    return CumulantTable(mu.signature, degree, kappa)
 
 
 def moments_from_cumulants(table: CumulantTable, degree: int) -> Distribution:
@@ -79,21 +76,11 @@ def moments_from_cumulants(table: CumulantTable, degree: int) -> Distribution:
         raise TruncationError(
             f"moments at degree {degree} need cumulants at that degree"
         )
-    signature = table.signature
-    solved: dict[Word, GaussianRational] = {(): ONE}
-    for n in range(1, degree + 1):
-        candidate = Distribution(
-            signature, n,
-            {w: solved.get(w, ZERO) for w in signature.words(n)},
-        )
-        cache = ConvolutionPowerCache(candidate)
-        powers = [cache.power(k) for k in range(n + 1)]
-        for word in signature.words(n):
-            if len(word) != n:
-                continue
-            probed = _linear_coefficient([p.moment(word) for p in powers])
-            solved[word] = table.value(word) - probed
-    return Distribution(signature, degree, solved)
+    mu: dict[Word, GaussianRational] = {(): ONE}
+    for word in table.signature.words(degree):
+        if word:
+            mu[word] = table.values[word] + _lower_terms(word, table.values, mu)
+    return Distribution(table.signature, degree, mu)
 
 
 def dilate(mu: Distribution, s: GaussianRational) -> Distribution:
@@ -102,84 +89,3 @@ def dilate(mu: Distribution, s: GaussianRational) -> Distribution:
         mu.signature, mu.degree,
         {w: (s ** len(w)) * v for w, v in mu.moments.items()},
     )
-
-
-# ---------------------------------------------------------------------------
-# Independent single-face oracle via non-crossing partitions
-
-
-def _set_partitions(n: int):
-    if n == 0:
-        yield ()
-        return
-    for rest in _set_partitions(n - 1):
-        yield rest + ((n - 1,),)
-        for i, block in enumerate(rest):
-            yield rest[:i] + (block + (n - 1,),) + rest[i + 1 :]
-
-
-def _is_noncrossing(partition) -> bool:
-    owner = {}
-    for b, block in enumerate(partition):
-        for x in block:
-            owner[x] = b
-    n = len(owner)
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                for d in range(c + 1, n):
-                    if owner[a] == owner[c] != owner[b] == owner[d]:
-                        return False
-    return True
-
-
-@lru_cache(maxsize=None)
-def _nc_partitions(n: int):
-    parts = [tuple(sorted(p, key=min)) for p in _set_partitions(n)]
-    return tuple(sorted((p for p in parts if _is_noncrossing(p)), key=len))
-
-
-def _refines(pi, sigma) -> bool:
-    blocks = [set(b) for b in sigma]
-    return all(any(set(b) <= s for s in blocks) for b in pi)
-
-
-@lru_cache(maxsize=None)
-def _nc_moebius(n: int):
-    """Moebius function mu(pi, top) on the non-crossing partition lattice,
-    computed by the defining recursion on the refinement order."""
-    partitions = _nc_partitions(n)
-    top = min(partitions, key=len)
-    moebius = {top: 1}
-    for pi in sorted(partitions, key=len):
-        if pi == top:
-            continue
-        moebius[pi] = -sum(
-            moebius[sigma]
-            for sigma in partitions
-            if len(sigma) < len(pi) and _refines(pi, sigma)
-        )
-    return moebius
-
-
-def free_cumulant_oracle(mu: Distribution, word: Word) -> GaussianRational:
-    """Free cumulant of a single-face word by brute-force Moebius inversion.
-
-    Sums Moebius-weighted moment products over all non-crossing partitions;
-    entirely independent of the convolution-power transform.
-    """
-    if not word:
-        raise DomainError("free cumulants are indexed by nonempty words")
-    families = {l.family for l in word}
-    sides = {l.side for l in word}
-    if len(families) != 1 or len(sides) != 1:
-        raise DomainError("the oracle handles words on one side of one family only")
-    n = len(word)
-    moebius = _nc_moebius(n)
-    total = ZERO
-    for partition in _nc_partitions(n):
-        product = GaussianRational(moebius[partition])
-        for block in partition:
-            product = product * mu.moment(tuple(word[i] for i in block))
-        total = total + product
-    return total

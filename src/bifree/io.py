@@ -1,9 +1,12 @@
-"""Line-oriented text formats for moment and cumulant tables.
+"""Line-oriented text formats for moment, cumulant, covariance and vector
+tables.
 
 Header lines declare the face signature, star closure and degree bound;
-body lines map one word to one exact scalar.  Emission is canonical:
-headers in signature order, then words in graded-lex order, so equal
-tables produce byte-identical text.
+body lines map one word to one exact scalar.  Covariance files carry no
+degree bound and map a pair of letters to a scalar; vector files declare
+`# dim: N` and map a letter (starred for the companion map) to N scalars.
+Emission is canonical: headers in signature order, then words in
+graded-lex order, so equal tables produce byte-identical text.
 
     # family 1 left: a b
     # family 1 right: c
@@ -20,14 +23,18 @@ import re
 
 from .dist import CumulantTable, Distribution
 from .errors import ParseError
+from .models import CovarianceSpec, VectorSpec
 from .scalars import GaussianRational, format_scalar, parse_scalar
-from .words import LEFT, RIGHT, FaceSignature, FamilyFaces, Letter, Word, format_word
+from .words import (LEFT, RIGHT, FaceSignature, FamilyFaces, Letter, Word, format_letter,
+                    format_word)
 
 _FACE_RE = re.compile(r"^#\s*family\s+(\S+)\s+(left|right)\s*:\s*(.*)$")
 _STAR_RE = re.compile(r"^#\s*star\s*:\s*(yes|no)\s*$")
 _DEGREE_RE = re.compile(r"^#\s*degree\s*:\s*(\d+)\s*$")
 _KIND_RE = re.compile(r"^#\s*kind\s*:\s*(\S+)\s*$")
+_DIM_RE = re.compile(r"^#\s*dim\s*:\s*(\d+)\s*$")
 _LETTER_RE = re.compile(r"^(.+?)\.([^.*]+)(\*)?$")
+_VECTOR_ROW_RE = re.compile(r"^(.+?)(\*)?\s*:\s*(.*)$")
 
 
 def _family_id(text: str):
@@ -105,6 +112,13 @@ def _parse_letter(text: str, signature: FaceSignature, lineno: int) -> Letter:
     return Letter(fid, side, index, star)
 
 
+def _parse_scalar(text: str, lineno: int) -> GaussianRational:
+    try:
+        return parse_scalar(text.strip())
+    except ParseError as exc:
+        raise ParseError(str(exc), lineno) from None
+
+
 def _parse_word(text: str, signature: FaceSignature, lineno: int) -> Word:
     text = text.strip()
     if text == "()":
@@ -132,10 +146,7 @@ def _parse_table(text: str, kind: str):
             raise ParseError("expected 'WORD : SCALAR'", lineno)
         word_text, _, scalar_text = line.partition(":")
         word = _parse_word(word_text, signature, lineno)
-        try:
-            value = parse_scalar(scalar_text.strip())
-        except ParseError as exc:
-            raise ParseError(str(exc), lineno) from None
+        value = _parse_scalar(scalar_text, lineno)
         if word in entries:
             raise ParseError(f"duplicate entry for word {format_word(word)}", lineno)
         entries[word] = value
@@ -156,7 +167,8 @@ def parse_cumulant_table(text: str) -> CumulantTable:
     return CumulantTable(signature, degree, entries)
 
 
-def _emit_headers(signature: FaceSignature, degree: int, kind: str | None) -> list[str]:
+def _emit_headers(signature: FaceSignature, kind: str | None, *extra: str) -> list[str]:
+    """Face and star headers, then the `extra` lines, then `# kind:` if given."""
     lines = []
     for fam in signature.families:
         if fam.left:
@@ -164,22 +176,120 @@ def _emit_headers(signature: FaceSignature, degree: int, kind: str | None) -> li
         if fam.right:
             lines.append(f"# family {fam.family} right: {' '.join(fam.right)}")
     lines.append(f"# star: {'yes' if signature.star_closed and signature.families else 'no'}")
-    lines.append(f"# degree: {degree}")
+    lines.extend(extra)
     if kind is not None:
         lines.append(f"# kind: {kind}")
     return lines
 
 
 def format_distribution(dist: Distribution) -> str:
-    lines = _emit_headers(dist.signature, dist.degree, None)
+    lines = _emit_headers(dist.signature, None, f"# degree: {dist.degree}")
     for word in dist.signature.words(dist.degree):
         lines.append(f"{format_word(word)} : {format_scalar(dist.moments[word])}")
     return "\n".join(lines) + "\n"
 
 
 def format_cumulant_table(table: CumulantTable) -> str:
-    lines = _emit_headers(table.signature, table.degree, "cumulants")
+    lines = _emit_headers(table.signature, "cumulants", f"# degree: {table.degree}")
     for word in table.signature.words(table.degree):
         if word:
             lines.append(f"{format_word(word)} : {format_scalar(table.values[word])}")
     return "\n".join(lines) + "\n"
+
+
+def format_covariance(cov: CovarianceSpec) -> str:
+    lines = _emit_headers(cov.signature, "covariance")
+    alphabet = cov.signature.letters()
+    for u in alphabet:
+        for v in alphabet:
+            lines.append(
+                f"{format_letter(u)} {format_letter(v)} : {format_scalar(cov.c[(u, v)])}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def parse_covariance(text: str) -> CovarianceSpec:
+    header = _HeaderState()
+    signature = None
+    c = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            header.feed(line, lineno)
+            continue
+        if signature is None:
+            if header.degree is None:
+                header.degree = 2  # covariance files carry no degree bound
+            signature = header.signature(lineno)
+        body, _, scalar_text = line.partition(":")
+        tokens = body.split()
+        if len(tokens) != 2:
+            raise ParseError("expected 'LETTER LETTER : SCALAR'", lineno)
+        u = _parse_letter(tokens[0], signature, lineno)
+        v = _parse_letter(tokens[1], signature, lineno)
+        if (u, v) in c:
+            raise ParseError("duplicate covariance entry", lineno)
+        c[(u, v)] = _parse_scalar(scalar_text, lineno)
+    if signature is None:
+        raise ParseError("empty covariance file")
+    if (header.kind or "covariance") != "covariance":
+        raise ParseError(f"expected a covariance table, got kind {header.kind!r}")
+    return CovarianceSpec(signature, c)
+
+
+def format_vector_spec(spec: VectorSpec) -> str:
+    lines = _emit_headers(spec.signature, "vectors", f"# dim: {spec.dim}")
+    for letter in spec.signature.letters():
+        if letter.star:
+            continue
+        key = (letter.family, letter.side, letter.index)
+        base = f"{letter.family}.{letter.index}"
+        lines.append(f"{base} : " + " ".join(format_scalar(x) for x in spec.h[key]))
+        lines.append(f"{base}* : " + " ".join(format_scalar(x) for x in spec.h_star[key]))
+    return "\n".join(lines) + "\n"
+
+
+def parse_vector_spec(text: str) -> VectorSpec:
+    header = _HeaderState()
+    dim = None
+    signature = None
+    h: dict = {}
+    h_star: dict = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            if m := _DIM_RE.match(line):
+                if dim is not None:
+                    raise ParseError("duplicate dim header", lineno)
+                dim = int(m.group(1))
+            else:
+                header.feed(line, lineno)
+            continue
+        if signature is None:
+            if dim is None:
+                raise ParseError("missing '# dim:' header", lineno)
+            if header.degree is None:
+                header.degree = 2
+            signature = header.signature(lineno)
+        m = _VECTOR_ROW_RE.match(line)
+        if m is None:
+            raise ParseError("expected 'LETTER[*] : v1 v2 ...'", lineno)
+        letter = _parse_letter(m.group(1), signature, lineno)
+        starred = m.group(2) is not None
+        vec = tuple(_parse_scalar(tok, lineno) for tok in m.group(3).split())
+        if len(vec) != dim:
+            raise ParseError(f"expected {dim} coordinates", lineno)
+        key = (letter.family, letter.side, letter.index)
+        target = h_star if starred else h
+        if key in target:
+            raise ParseError("duplicate vector row", lineno)
+        target[key] = vec
+    if signature is None:
+        raise ParseError("empty vector file")
+    if (header.kind or "vectors") != "vectors":
+        raise ParseError(f"expected a vector table, got kind {header.kind!r}")
+    return VectorSpec(signature, dim, h, h_star)

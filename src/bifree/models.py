@@ -5,14 +5,13 @@ left/right regular representation of a free product of cyclic groups.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Mapping
 
 from .cumulant import moments_from_cumulants
 from .dist import CumulantTable, Distribution
-from .errors import DomainError, ParseError
-from .scalars import ONE, ZERO, GaussianRational, format_scalar, parse_scalar
+from .errors import DomainError
+from .scalars import ONE, ZERO, GaussianRational, format_scalar
 from .words import (LEFT, FaceSignature, FamilyFaces, Letter, Word,
                     format_letter, format_word, word_star)
 
@@ -384,128 +383,3 @@ def group_example_dist(orders, degree: int) -> Distribution:
     return Distribution(
         signature, degree, {w: moment(w) for w in signature.words(degree)}
     )
-
-
-# ---------------------------------------------------------------------------
-# Text formats for covariance and vector data
-
-
-def format_covariance(cov: CovarianceSpec) -> str:
-    lines = []
-    for fam in cov.signature.families:
-        if fam.left:
-            lines.append(f"# family {fam.family} left: {' '.join(fam.left)}")
-        if fam.right:
-            lines.append(f"# family {fam.family} right: {' '.join(fam.right)}")
-    star = cov.signature.star_closed and bool(cov.signature.families)
-    lines.append(f"# star: {'yes' if star else 'no'}")
-    lines.append("# kind: covariance")
-    alphabet = cov.signature.letters()
-    for u in alphabet:
-        for v in alphabet:
-            lines.append(
-                f"{format_letter(u)} {format_letter(v)} : {format_scalar(cov.c[(u, v)])}"
-            )
-    return "\n".join(lines) + "\n"
-
-
-def parse_covariance(text: str) -> CovarianceSpec:
-    from .io import _HeaderState, _parse_letter
-
-    header = _HeaderState()
-    signature = None
-    c = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            header.feed(line, lineno)
-            continue
-        if signature is None:
-            if header.degree is None:
-                header.degree = 2  # covariance files carry no degree bound
-            signature = header.signature(lineno)
-        body, _, scalar_text = line.partition(":")
-        tokens = body.split()
-        if len(tokens) != 2:
-            raise ParseError("expected 'LETTER LETTER : SCALAR'", lineno)
-        u = _parse_letter(tokens[0], signature, lineno)
-        v = _parse_letter(tokens[1], signature, lineno)
-        if (u, v) in c:
-            raise ParseError("duplicate covariance entry", lineno)
-        c[(u, v)] = parse_scalar(scalar_text.strip())
-    if signature is None:
-        raise ParseError("empty covariance file")
-    if (header.kind or "covariance") != "covariance":
-        raise ParseError(f"expected a covariance table, got kind {header.kind!r}")
-    return CovarianceSpec(signature, c)
-
-
-_VECTOR_ROW_RE = re.compile(r"^(.+?)(\*)?\s*:\s*(.*)$")
-
-
-def format_vector_spec(spec: VectorSpec) -> str:
-    lines = []
-    for fam in spec.signature.families:
-        if fam.left:
-            lines.append(f"# family {fam.family} left: {' '.join(fam.left)}")
-        if fam.right:
-            lines.append(f"# family {fam.family} right: {' '.join(fam.right)}")
-    star = spec.signature.star_closed and bool(spec.signature.families)
-    lines.append(f"# star: {'yes' if star else 'no'}")
-    lines.append(f"# dim: {spec.dim}")
-    lines.append("# kind: vectors")
-    for letter in spec.signature.letters():
-        if letter.star:
-            continue
-        key = (letter.family, letter.side, letter.index)
-        base = f"{letter.family}.{letter.index}"
-        lines.append(f"{base} : " + " ".join(format_scalar(x) for x in spec.h[key]))
-        lines.append(f"{base}* : " + " ".join(format_scalar(x) for x in spec.h_star[key]))
-    return "\n".join(lines) + "\n"
-
-
-def parse_vector_spec(text: str) -> VectorSpec:
-    from .io import _HeaderState, _parse_letter
-
-    header = _HeaderState()
-    dim = None
-    signature = None
-    h: dict = {}
-    h_star: dict = {}
-    dim_re = re.compile(r"^#\s*dim\s*:\s*(\d+)\s*$")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if m := dim_re.match(line):
-                dim = int(m.group(1))
-            else:
-                header.feed(line, lineno)
-            continue
-        if signature is None:
-            if dim is None:
-                raise ParseError("missing '# dim:' header", lineno)
-            if header.degree is None:
-                header.degree = 2
-            signature = header.signature(lineno)
-        m = _VECTOR_ROW_RE.match(line)
-        if m is None:
-            raise ParseError("expected 'LETTER[*] : v1 v2 ...'", lineno)
-        letter = _parse_letter(m.group(1), signature, lineno)
-        starred = m.group(2) is not None
-        vec = tuple(parse_scalar(tok) for tok in m.group(3).split())
-        if len(vec) != dim:
-            raise ParseError(f"expected {dim} coordinates", lineno)
-        key = (letter.family, letter.side, letter.index)
-        target = h_star if starred else h
-        if key in target:
-            raise ParseError("duplicate vector row", lineno)
-        target[key] = vec
-    if signature is None:
-        raise ParseError("empty vector file")
-    if (header.kind or "vectors") != "vectors":
-        raise ParseError(f"expected a vector table, got kind {header.kind!r}")
-    return VectorSpec(signature, dim, h, h_star)

@@ -1,9 +1,8 @@
 """Exact rational backend.
 
-gmpy2's mpq is used when importable (roughly an order of magnitude faster
-than fractions.Fraction); the stdlib Fraction is the fallback.  The choice
-can be pinned with BIFREE_RATIONAL_BACKEND=gmpy2|fraction for benchmarking;
-results are bit-identical either way.
+gmpy2's mpq is used when importable; the stdlib Fraction is the fallback.
+gmpy2 is optional: results are bit-identical either way.  The choice can be
+pinned with BIFREE_RATIONAL_BACKEND=gmpy2|fraction for benchmarking.
 """
 
 import os

@@ -9,13 +9,13 @@ import itertools
 import random
 
 import pytest
-from oracles import naive_joint_moment
+from oracles import free_cumulant_oracle, naive_joint_moment
 from util import rand_dist
 
 from bifree.cli import main
 from bifree.clt import clt_report, scaled_sum_dist, scaled_sum_dist_direct
 from bifree.convolve import boxplus2
-from bifree.cumulant import cumulants_from_moments, free_cumulant_oracle
+from bifree.cumulant import cumulants_from_moments
 from bifree.dist import Distribution, group_families
 from bifree.engine import (apply_left, apply_right, bifree_product, check_bifree,
                            joint_moment, vacuum_state)

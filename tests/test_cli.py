@@ -2,9 +2,9 @@ import pytest
 from util import rand_dist
 
 from bifree.cli import main
-from bifree.io import format_distribution, parse_distribution
-from bifree.models import (CovarianceSpec, VectorSpec, format_covariance,
-                           format_vector_spec)
+from bifree.io import (format_covariance, format_distribution, format_vector_spec,
+                       parse_distribution)
+from bifree.models import CovarianceSpec, VectorSpec
 from bifree.scalars import ONE, ZERO, qi
 from bifree.words import LEFT, RIGHT, Letter, two_faced
 
@@ -164,6 +164,23 @@ def test_input_errors_exit_two(tmp_path, capsys):
     bad.write_text("# degree: 1\n() : 2\n")
     assert main(["cumulants", "--in", str(bad)]) == 2
     capsys.readouterr()
+
+
+def test_bad_scalar_in_covariance_or_vectors_names_its_line(tmp_path, capsys):
+    cov_path = tmp_path / "c.cov"
+    cov_path.write_text("# family 1 left: a\n# star: no\n1.a 1.a : 1/0\n")
+    vec_path = tmp_path / "v.spec"
+    vec_path.write_text("# family 1 left: a\n# dim: 1\n1.a : 1/0\n1.a* : 1\n")
+    for argv in (["gaussian", "--cov", str(cov_path)], ["fock", "--vectors", str(vec_path)]):
+        assert main(argv) == 2
+        assert "line 3: zero denominator" in capsys.readouterr().err
+
+
+def test_repeated_dim_header_is_rejected(tmp_path, capsys):
+    vec_path = tmp_path / "v.spec"
+    vec_path.write_text("# family 1 left: a\n# dim: 1\n# dim: 2\n1.a : 1 0\n1.a* : 1 0\n")
+    assert main(["fock", "--vectors", str(vec_path)]) == 2
+    assert "line 3: duplicate dim header" in capsys.readouterr().err
 
 
 def test_csv_format_output(tmp_path, mu_path):

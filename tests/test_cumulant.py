@@ -1,16 +1,17 @@
 import itertools
 
 import pytest
+from oracles import (ConvolutionPowerCache, free_cumulant_oracle, linear_coefficient,
+                     power_cumulants, power_moments)
 from util import rand_dist, rand_scalar
 
 from bifree.convolve import boxplus2
-from bifree.cumulant import (ConvolutionPowerCache, _linear_coefficient,
-                             cumulants_from_moments, dilate, free_cumulant_oracle,
-                             moments_from_cumulants)
+from bifree.cumulant import cumulants_from_moments, dilate, moments_from_cumulants
 from bifree.dist import CumulantTable, Distribution, point_distribution
+from bifree.engine import bifree_product
 from bifree.errors import DomainError, TruncationError
 from bifree.scalars import ONE, ZERO, qi
-from bifree.words import LEFT, RIGHT, Letter, two_faced
+from bifree.words import LEFT, RIGHT, FaceSignature, FamilyFaces, Letter, two_faced
 
 SIG = two_faced(left=("a",), right=("c",), family=1)
 A = Letter(1, LEFT, "a")
@@ -23,6 +24,28 @@ def test_power_cache_invariants(rng):
     assert cache.power(0) == point_distribution(SIG, 3)
     assert cache.power(1) == mu
     assert cache.power(3) == boxplus2(cache.power(2), mu, 3)
+
+
+def test_recursion_matches_convolution_power_oracle(rng):
+    sig = FaceSignature((FamilyFaces(1, ("a",), ("c",)), FamilyFaces(2, (), ("d",))))
+    mu = rand_dist(sig, 5, rng, with_imag=True)
+    table = cumulants_from_moments(mu, 5)
+    assert table == power_cumulants(mu, 5)
+    assert moments_from_cumulants(table, 5) == power_moments(table, 5) == mu
+
+
+def test_mixed_family_cumulants_of_product_vanish(rng):
+    marginals = [
+        rand_dist(two_faced(left=("a",), right=("c",), family=1), 5, rng, with_imag=True),
+        rand_dist(two_faced(left=("b",), right=("d", "e"), family=2), 5, rng),
+    ]
+    table = cumulants_from_moments(bifree_product(marginals, 5), 5)
+    for word, value in table.values.items():
+        if len({letter.family for letter in word}) > 1:
+            assert value == ZERO, word
+    for mu in marginals:
+        for word, value in cumulants_from_moments(mu, 5).values.items():
+            assert table.value(word) == value
 
 
 def test_degree_one_and_two_closed_forms(rng):
@@ -172,7 +195,7 @@ def test_interpolation_well_posedness(rng):
 def test_linear_coefficient_on_known_polynomial():
     # p(N) = 2N + 3N^2 sampled at 0..2
     values = [qi(0), qi(5), qi(16)]
-    assert _linear_coefficient(values) == qi(2)
+    assert linear_coefficient(values) == qi(2)
 
 
 def test_requires_sufficient_degree(rng):

@@ -6,11 +6,12 @@ from util import rand_dist
 from bifree.cumulant import cumulants_from_moments
 from bifree.engine import check_bifree
 from bifree.errors import DomainError
+from bifree.io import (format_covariance, format_vector_spec, parse_covariance,
+                       parse_vector_spec)
 from bifree.models import (CovarianceSpec, VectorSpec, annih_left, covariance_from_vectors,
                            create_left, fock_apply, fock_distribution, fock_moment,
-                           fock_vacuum, format_covariance, format_vector_spec,
-                           gaussian_dist, gram_psd_check, gram_quadratic_form,
-                           group_example_dist, parse_covariance, parse_vector_spec)
+                           fock_vacuum, gaussian_dist, gram_psd_check, gram_quadratic_form,
+                           group_example_dist)
 from bifree.scalars import ONE, ZERO, qi
 from bifree.words import LEFT, RIGHT, Letter, two_faced, word_star
 
