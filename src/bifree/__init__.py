@@ -3,7 +3,7 @@ variables: joint moments under bi-free independence, cumulant transforms,
 additive and multiplicative convolution, central-limit behavior, and the
 Fock-space and group-algebra realizations."""
 
-from .clt import CltReport, clt_report, scaled_sum_dist, scaled_sum_dist_direct
+from .clt import CltReport, clt_report, scaled_sum_dist
 from .convolve import boxplus2, boxtimes2
 from .cumulant import cumulants_from_moments, dilate, moments_from_cumulants
 from .dist import (CumulantTable, Distribution, group_families, ones_distribution,

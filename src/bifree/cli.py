@@ -3,7 +3,7 @@
 Exit status: 0 on success, 1 on a verification failure (bi-freeness
 mismatch, indefinite positivity check, Fock/Gaussian comparison mismatch,
 central-limit decay violation), 2 on an input error.  Outputs are
-deterministic: identical inputs give byte-identical files for any --jobs.
+deterministic: identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -53,13 +53,11 @@ def _dist_output(dist: Distribution, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _add_common(parser, out=True, degree=True, jobs=False, fmt=False):
+def _add_common(parser, out=True, degree=True, fmt=False):
     if out:
         parser.add_argument("--out", help="output path (default: stdout)")
     if degree:
         parser.add_argument("--degree", type=int, required=False)
-    if jobs:
-        parser.add_argument("--jobs", type=int, default=1)
     if fmt:
         parser.add_argument("--format", choices=("dist", "csv"), default="dist")
 
@@ -73,19 +71,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("product", help="bi-free product of marginal distributions")
     p.add_argument("--in", dest="inputs", action="append", required=True)
-    _add_common(p, jobs=True, fmt=True)
+    _add_common(p, fmt=True)
 
     p = sub.add_parser("check-bifree", help="test a joint distribution for bi-freeness")
     p.add_argument("--in", dest="input", required=True)
-    _add_common(p, out=False, jobs=True)
+    _add_common(p, out=False)
 
     p = sub.add_parser("convolve-add", help="additive bi-free convolution")
     p.add_argument("--in", dest="inputs", action="append", required=True)
-    _add_common(p, jobs=True, fmt=True)
+    _add_common(p, fmt=True)
 
     p = sub.add_parser("convolve-mul", help="multiplicative bi-free convolution")
     p.add_argument("--in", dest="inputs", action="append", required=True)
-    _add_common(p, jobs=True, fmt=True)
+    _add_common(p, fmt=True)
 
     p = sub.add_parser("cumulants", help="moment table to cumulant table")
     p.add_argument("--in", dest="input", required=True)
@@ -132,14 +130,14 @@ def _run(args) -> int:
     if args.command == "product":
         dists = [parse_distribution(_read(p)) for p in args.inputs]
         degree = _degree_or(args, min(d.degree for d in dists))
-        joint = bifree_product(dists, degree, jobs=args.jobs)
+        joint = bifree_product(dists, degree)
         _write(args.out, _dist_output(joint, args.format))
         return 0
 
     if args.command == "check-bifree":
         joint = parse_distribution(_read(args.input))
         degree = _degree_or(args, joint.degree)
-        report = check_bifree(joint, degree, jobs=args.jobs)
+        report = check_bifree(joint, degree)
         if report.ok:
             print(f"bi-free up to degree {degree}")
             return 0
@@ -153,7 +151,7 @@ def _run(args) -> int:
             raise BifreeError("convolution takes exactly two --in tables")
         degree = _degree_or(args, min(d.degree for d in dists))
         op = boxplus2 if args.command == "convolve-add" else boxtimes2
-        _write(args.out, _dist_output(op(*dists, degree, jobs=args.jobs), args.format))
+        _write(args.out, _dist_output(op(*dists, degree), args.format))
         return 0
 
     if args.command == "cumulants":

@@ -3,26 +3,23 @@
 Scaled sums S_N = N^(-1/2) * (sum of N bi-free copies) are computed through
 cumulant scaling: the cumulant of a degree-m word picks up the factor
 N^(1-m/2), which is rational because N is restricted to perfect squares.
-A literal oracle (N-fold product, then expansion of the scaled sum) backs
-the fast path for small N.
+The test-suite checks this against the N-fold bi-free product for small N.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import isqrt
 
 from .cumulant import cumulants_from_moments, moments_from_cumulants
 from .dist import CumulantTable, Distribution
-from .engine import bifree_product
 from .errors import DomainError
 from .models import CovarianceSpec, gaussian_dist
 from .rationals import rat
 from .scalars import GaussianRational
 from .scalars import _new as _gr
 from .scalars import decimal_magnitude
-from .words import Letter, Word, format_word
+from .words import Word, format_word
 
 
 def _require_centered(mu: Distribution) -> None:
@@ -53,38 +50,6 @@ def scaled_sum_dist(mu: Distribution, n: int, degree: int) -> Distribution:
         factor = _gr(rat(root**k) if k >= 0 else rat(1, root**-k), rat(0))
         scaled[word] = factor * value
     return moments_from_cumulants(CumulantTable(mu.signature, degree, scaled), degree)
-
-
-def scaled_sum_dist_direct(mu: Distribution, n: int, degree: int) -> Distribution:
-    """Oracle for scaled_sum_dist: N-fold bi-free product, then expansion.
-
-    Builds the joint distribution of N tagged copies and expands every
-    moment of the scaled sum into the N^m tagged words.  Exponential in the
-    word degree; intended for N <= 4.
-    """
-    _require_centered(mu)
-    root = _square_root(n)
-    copies = [
-        mu.retag({f.family: (f.family, t) for f in mu.signature.families})
-        for t in range(n)
-    ]
-    joint = bifree_product(copies, degree)
-    inv_root = _gr(rat(1, root), rat(0))
-
-    def moment(word: Word) -> GaussianRational:
-        total = _gr(rat(0), rat(0))
-        for tags in itertools.product(range(n), repeat=len(word)):
-            tagged = tuple(
-                Letter((l.family, t), l.side, l.index, l.star)
-                for l, t in zip(word, tags)
-            )
-            total = total + joint.moment(tagged)
-        return total * inv_root ** len(word)
-
-    return Distribution(
-        mu.signature, degree,
-        {w: moment(w) for w in mu.signature.words(degree)},
-    )
 
 
 @dataclass

@@ -26,27 +26,21 @@ def _check_pair(mu: Distribution, nu: Distribution, degree: int) -> None:
         )
 
 
-def boxplus2(mu: Distribution, nu: Distribution, degree: int,
-             jobs: int = 1) -> Distribution:
+def boxplus2(mu: Distribution, nu: Distribution, degree: int) -> Distribution:
     """Additive bi-free convolution: distribution of the letter-wise sums."""
     _check_pair(mu, nu, degree)
     ctx = _EvalContext([mu, nu])
-    letter_steps = [
-        (
-            letter,
-            ((
-                ctx.summand(letter.side == LEFT, 0, ctx.letter_ids[0][letter]),
-                ctx.summand(letter.side == LEFT, 1, ctx.letter_ids[1][letter]),
-            ),),
-        )
+    letter_steps = {
+        letter: ((
+            ctx.summand(letter.side == LEFT, 0, ctx.letter_ids[0][letter]),
+            ctx.summand(letter.side == LEFT, 1, ctx.letter_ids[1][letter]),
+        ),)
         for letter in mu.signature.letters()
-    ]
-    table = _build_table(ctx, letter_steps, degree, jobs)
-    return Distribution(mu.signature, degree, table)
+    }
+    return _build_table(ctx, mu.signature, letter_steps, degree)
 
 
-def boxtimes2(mu: Distribution, nu: Distribution, degree: int,
-              jobs: int = 1) -> Distribution:
+def boxtimes2(mu: Distribution, nu: Distribution, degree: int) -> Distribution:
     """Multiplicative bi-free convolution: distribution of letter-wise products.
 
     Each letter stands for the product (mu-copy letter) * (nu-copy letter),
@@ -54,15 +48,11 @@ def boxtimes2(mu: Distribution, nu: Distribution, degree: int,
     """
     _check_pair(mu, nu, degree)
     ctx = _EvalContext([mu, nu])
-    letter_steps = [
-        (
-            letter,
-            (
-                (ctx.summand(letter.side == LEFT, 0, ctx.letter_ids[0][letter]),),
-                (ctx.summand(letter.side == LEFT, 1, ctx.letter_ids[1][letter]),),
-            ),
+    letter_steps = {
+        letter: (
+            (ctx.summand(letter.side == LEFT, 0, ctx.letter_ids[0][letter]),),
+            (ctx.summand(letter.side == LEFT, 1, ctx.letter_ids[1][letter]),),
         )
         for letter in mu.signature.letters()
-    ]
-    table = _build_table(ctx, letter_steps, degree, jobs)
-    return Distribution(mu.signature, degree, table)
+    }
+    return _build_table(ctx, mu.signature, letter_steps, degree)

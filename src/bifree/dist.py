@@ -3,7 +3,8 @@
 A Distribution holds one exact scalar for every word up to its degree
 bound and is normalized at the empty word.  A CumulantTable is the same
 minus the empty word.  Both validate totality on construction, naming the
-first missing word in graded-lex order.
+first missing word in graded-lex order.  `tabulate` builds the table of
+operators that act letter by letter on a state, sharing suffixes.
 """
 
 from __future__ import annotations
@@ -100,22 +101,41 @@ class CumulantTable:
         return self.values[word]
 
 
-def tabulate(signature: FaceSignature, degree: int,
-             fn: Callable[[Word], GaussianRational]) -> Distribution:
-    """Distribution from a word->scalar function (fn(()) must be 1)."""
-    return Distribution(
-        signature, degree, {w: fn(w) for w in signature.words(degree)}
-    )
+def tabulate(signature: FaceSignature, degree: int, start,
+             step: Callable[[Letter, object], object],
+             read: Callable[[object], GaussianRational]) -> Distribution:
+    """Distribution of the operators that act letter by letter on a state.
+
+    The state of the empty word is `start` and the state of
+    `(letter,) + w` is `step(letter, state of w)`, so a word's letters act
+    right to left; the moment of `w` is `read(state of w)`, and
+    `read(start)` must be 1.  Words sharing a suffix share the whole
+    evaluation of that suffix, so the walk costs one step per word.
+    """
+    alphabet = signature.letters()
+    moments = {(): read(start)}
+
+    def extend(state, word: Word, remaining: int) -> None:
+        for letter in alphabet:
+            grown = step(letter, state)
+            longer = (letter,) + word
+            moments[longer] = read(grown)
+            if remaining > 1:
+                extend(grown, longer, remaining - 1)
+
+    if degree >= 1:
+        extend(start, (), degree)
+    return Distribution(signature, degree, moments)
 
 
 def point_distribution(signature: FaceSignature, degree: int) -> Distribution:
     """All nonempty moments zero: the neutral element of additive convolution."""
-    return tabulate(signature, degree, lambda w: ONE if not w else ZERO)
+    return tabulate(signature, degree, ONE, lambda letter, m: ZERO, lambda m: m)
 
 
 def ones_distribution(signature: FaceSignature, degree: int) -> Distribution:
     """Every moment 1: constant-1 variables, neutral for multiplicative convolution."""
-    return tabulate(signature, degree, lambda w: ONE)
+    return tabulate(signature, degree, ONE, lambda letter, m: m, lambda m: m)
 
 
 def group_families(dist: Distribution, family, namer=None) -> Distribution:

@@ -18,16 +18,16 @@ rationals; results are identical.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .dist import Distribution
+from .dist import Distribution, tabulate
 from .errors import DomainError, SignatureError, TruncationError
 from .rationals import RAT_ONE, RAT_ZERO
 from .scalars import ONE, ZERO, GaussianRational
 from .scalars import _new as _gr
-from .words import LEFT, RIGHT, Letter, Word, format_word, union_signatures
+from .words import (LEFT, RIGHT, FaceSignature, Letter, Word, format_word,
+                    union_signatures)
 
 # ---------------------------------------------------------------------------
 # Public state types
@@ -232,48 +232,25 @@ def _eval_steps(ctx: _EvalContext, steps: Sequence) -> object:
     return state.get((), ctx.zero)
 
 
-def _build_table(ctx: _EvalContext, letter_steps, degree: int, jobs: int = 1) -> dict:
+def _build_table(ctx: _EvalContext, signature: FaceSignature,
+                 letter_steps: Mapping[Letter, Sequence], degree: int) -> Distribution:
     """Moments of every word of degree <= `degree` over the output letters.
 
     letter_steps maps each output letter to the operator steps it denotes
     (several steps mean an operator product, applied right to left; each
-    step is a sum of elementary letter actions).  Words sharing a suffix
-    share the whole evaluation of that suffix, so the build costs one step
-    application per word.
+    step is a sum of elementary letter actions).
     """
     tables = ctx.tables
     on_missing = ctx.on_missing
     zero = ctx.zero
 
-    def subtree(root_state, root_word, remaining, out):
-        for letter, steps in letter_steps:
-            st = root_state
-            for step in reversed(steps):
-                st = _apply_step(st, step, tables, on_missing)
-            w = (letter,) + root_word
-            out[w] = st.get((), zero)
-            if remaining > 1:
-                subtree(st, w, remaining - 1, out)
+    def step(letter, state):
+        for s in reversed(letter_steps[letter]):
+            state = _apply_step(state, s, tables, on_missing)
+        return state
 
-    table = {(): ctx.one}
-    if degree >= 1:
-        if jobs > 1:
-            def task(entry):
-                letter, steps = entry
-                st = {(): ctx.one}
-                for step in reversed(steps):
-                    st = _apply_step(st, step, tables, on_missing)
-                part = {(letter,): st.get((), zero)}
-                if degree > 1:
-                    subtree(st, (letter,), degree - 1, part)
-                return part
-
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                for part in pool.map(task, letter_steps):
-                    table.update(part)
-        else:
-            subtree({(): ctx.one}, (), degree, table)
-    return {w: ctx.wrap(v) for w, v in table.items()}
+    return tabulate(signature, degree, {(): ctx.one}, step,
+                    lambda state: ctx.wrap(state.get((), zero)))
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +346,7 @@ def joint_moment(marginals: Mapping[object, Distribution], word: Word) -> Gaussi
     return ctx.wrap(_eval_steps(ctx, _word_steps(ctx, tag_of, word)))
 
 
-def bifree_product(marginals: Sequence[Distribution], degree: int,
-                   jobs: int = 1) -> Distribution:
+def bifree_product(marginals: Sequence[Distribution], degree: int) -> Distribution:
     """Joint distribution making the given constituents bi-freely independent.
 
     Each input distribution is one constituent of the free product; its
@@ -388,13 +364,12 @@ def bifree_product(marginals: Sequence[Distribution], degree: int,
     for i, dist in enumerate(marginals):
         for fam in dist.signature.families:
             tag_of[fam.family] = i
-    letter_steps = [
-        (letter, ((ctx.summand(letter.side == LEFT, tag_of[letter.family],
-                               ctx.letter_ids[tag_of[letter.family]][letter]),),))
+    letter_steps = {
+        letter: ((ctx.summand(letter.side == LEFT, tag_of[letter.family],
+                              ctx.letter_ids[tag_of[letter.family]][letter]),),)
         for letter in signature.letters()
-    ]
-    table = _build_table(ctx, letter_steps, degree, jobs)
-    return Distribution(signature, degree, table)
+    }
+    return _build_table(ctx, signature, letter_steps, degree)
 
 
 @dataclass
@@ -413,7 +388,7 @@ class BifreenessReport:
             yield f"{format_word(word)} : expected {expected} found {found}"
 
 
-def check_bifree(joint: Distribution, degree: int, jobs: int = 1) -> BifreenessReport:
+def check_bifree(joint: Distribution, degree: int) -> BifreenessReport:
     """Compare `joint` against the bi-free product of its family restrictions."""
     if joint.degree < degree:
         raise TruncationError(
@@ -422,7 +397,7 @@ def check_bifree(joint: Distribution, degree: int, jobs: int = 1) -> BifreenessR
     restrictions = [
         joint.restrict((fam.family,)) for fam in joint.signature.families
     ]
-    predicted = bifree_product(restrictions, degree, jobs)
+    predicted = bifree_product(restrictions, degree)
     mismatches = []
     for word in joint.signature.words(degree):
         expected = predicted.moment(word)

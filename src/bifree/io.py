@@ -4,7 +4,8 @@ tables.
 Header lines declare the face signature, star closure and degree bound;
 body lines map one word to one exact scalar.  Covariance files carry no
 degree bound and map a pair of letters to a scalar; vector files declare
-`# dim: N` and map a letter (starred for the companion map) to N scalars.
+`# dim: N` instead of a degree and map a letter (starred for the companion
+map) to N scalars.  In every format all header lines come first.
 Emission is canonical: headers in signature order, then words in
 graded-lex order, so equal tables produce byte-identical text.
 
@@ -30,9 +31,8 @@ from .words import (LEFT, RIGHT, FaceSignature, FamilyFaces, Letter, Word, forma
 
 _FACE_RE = re.compile(r"^#\s*family\s+(\S+)\s+(left|right)\s*:\s*(.*)$")
 _STAR_RE = re.compile(r"^#\s*star\s*:\s*(yes|no)\s*$")
-_DEGREE_RE = re.compile(r"^#\s*degree\s*:\s*(\d+)\s*$")
 _KIND_RE = re.compile(r"^#\s*kind\s*:\s*(\S+)\s*$")
-_DIM_RE = re.compile(r"^#\s*dim\s*:\s*(\d+)\s*$")
+_NUMBER_RE = re.compile(r"^#\s*(degree|dim)\s*:\s*(\d+)\s*$")
 _LETTER_RE = re.compile(r"^(.+?)\.([^.*]+)(\*)?$")
 _VECTOR_ROW_RE = re.compile(r"^(.+?)(\*)?\s*:\s*(.*)$")
 
@@ -42,11 +42,17 @@ def _family_id(text: str):
 
 
 class _HeaderState:
-    def __init__(self):
+    """Header lines of one file of the given `kind`.  `number` names the one
+    numeric header the format takes: "degree" for moment and cumulant
+    tables, "dim" for vector files, None for covariance files."""
+
+    def __init__(self, kind: str, number: str | None):
+        self.expected_kind = kind
+        self.number_name = number
         self.faces: dict[object, dict[str, tuple[str, ...]]] = {}
         self.order: list = []
         self.star: bool | None = None
-        self.degree: int | None = None
+        self.number: int | None = None
         self.kind: str | None = None
 
     def feed(self, line: str, lineno: int) -> None:
@@ -63,10 +69,15 @@ class _HeaderState:
             if self.star is not None:
                 raise ParseError("duplicate star header", lineno)
             self.star = m.group(1) == "yes"
-        elif m := _DEGREE_RE.match(line):
-            if self.degree is not None:
-                raise ParseError("duplicate degree header", lineno)
-            self.degree = int(m.group(1))
+        elif m := _NUMBER_RE.match(line):
+            name = m.group(1)
+            if name != self.number_name:
+                raise ParseError(
+                    f"a {self.expected_kind} file takes no '# {name}:' header", lineno
+                )
+            if self.number is not None:
+                raise ParseError(f"duplicate {name} header", lineno)
+            self.number = int(m.group(2))
         elif m := _KIND_RE.match(line):
             if self.kind is not None:
                 raise ParseError("duplicate kind header", lineno)
@@ -75,8 +86,8 @@ class _HeaderState:
             raise ParseError(f"unrecognized header {line!r}", lineno)
 
     def signature(self, lineno: int) -> FaceSignature:
-        if self.degree is None:
-            raise ParseError("missing '# degree:' header", lineno)
+        if self.number_name is not None and self.number is None:
+            raise ParseError(f"missing '# {self.number_name}:' header", lineno)
         star = bool(self.star)
         return FaceSignature(
             tuple(
@@ -89,6 +100,31 @@ class _HeaderState:
                 for fid in self.order
             )
         )
+
+
+def _parse_lines(text: str, header: _HeaderState, body) -> tuple[FaceSignature | None, int]:
+    """The line loop shared by every format: header lines, then body lines.
+
+    Header lines go to `header`.  At the first body line the headers are
+    complete and give the signature; each body line then goes to
+    `body(signature, line, lineno)`.  Returns the signature (None without
+    body lines) and the number of the last line.
+    """
+    signature = None
+    lineno = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            if signature is not None:
+                raise ParseError("header line after table entries", lineno)
+            header.feed(line, lineno)
+            continue
+        if signature is None:
+            signature = header.signature(lineno)
+        body(signature, line, lineno)
+    return signature, lineno
 
 
 def _parse_letter(text: str, signature: FaceSignature, lineno: int) -> Letter:
@@ -127,21 +163,10 @@ def _parse_word(text: str, signature: FaceSignature, lineno: int) -> Word:
 
 
 def _parse_table(text: str, kind: str):
-    header = _HeaderState()
+    header = _HeaderState(kind, "degree")
     entries: dict[Word, GaussianRational] = {}
-    signature = None
-    lineno = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if entries:
-                raise ParseError("header line after table entries", lineno)
-            header.feed(line, lineno)
-            continue
-        if signature is None:
-            signature = header.signature(lineno)
+
+    def body(signature, line, lineno):
         if ":" not in line:
             raise ParseError("expected 'WORD : SCALAR'", lineno)
         word_text, _, scalar_text = line.partition(":")
@@ -150,11 +175,13 @@ def _parse_table(text: str, kind: str):
         if word in entries:
             raise ParseError(f"duplicate entry for word {format_word(word)}", lineno)
         entries[word] = value
+
+    signature, lineno = _parse_lines(text, header, body)
     if signature is None:
         signature = header.signature(lineno)
     if (header.kind or "moments") != kind:
         raise ParseError(f"expected a {kind} table, got kind {header.kind!r}")
-    return signature, header.degree, entries
+    return signature, header.number, entries
 
 
 def parse_distribution(text: str) -> Distribution:
@@ -209,22 +236,12 @@ def format_covariance(cov: CovarianceSpec) -> str:
 
 
 def parse_covariance(text: str) -> CovarianceSpec:
-    header = _HeaderState()
-    signature = None
+    header = _HeaderState("covariance", None)
     c = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            header.feed(line, lineno)
-            continue
-        if signature is None:
-            if header.degree is None:
-                header.degree = 2  # covariance files carry no degree bound
-            signature = header.signature(lineno)
-        body, _, scalar_text = line.partition(":")
-        tokens = body.split()
+
+    def body(signature, line, lineno):
+        pair_text, _, scalar_text = line.partition(":")
+        tokens = pair_text.split()
         if len(tokens) != 2:
             raise ParseError("expected 'LETTER LETTER : SCALAR'", lineno)
         u = _parse_letter(tokens[0], signature, lineno)
@@ -232,6 +249,8 @@ def parse_covariance(text: str) -> CovarianceSpec:
         if (u, v) in c:
             raise ParseError("duplicate covariance entry", lineno)
         c[(u, v)] = _parse_scalar(scalar_text, lineno)
+
+    signature, _ = _parse_lines(text, header, body)
     if signature is None:
         raise ParseError("empty covariance file")
     if (header.kind or "covariance") != "covariance":
@@ -252,44 +271,28 @@ def format_vector_spec(spec: VectorSpec) -> str:
 
 
 def parse_vector_spec(text: str) -> VectorSpec:
-    header = _HeaderState()
-    dim = None
-    signature = None
+    header = _HeaderState("vectors", "dim")
     h: dict = {}
     h_star: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if m := _DIM_RE.match(line):
-                if dim is not None:
-                    raise ParseError("duplicate dim header", lineno)
-                dim = int(m.group(1))
-            else:
-                header.feed(line, lineno)
-            continue
-        if signature is None:
-            if dim is None:
-                raise ParseError("missing '# dim:' header", lineno)
-            if header.degree is None:
-                header.degree = 2
-            signature = header.signature(lineno)
+
+    def body(signature, line, lineno):
         m = _VECTOR_ROW_RE.match(line)
         if m is None:
             raise ParseError("expected 'LETTER[*] : v1 v2 ...'", lineno)
         letter = _parse_letter(m.group(1), signature, lineno)
         starred = m.group(2) is not None
         vec = tuple(_parse_scalar(tok, lineno) for tok in m.group(3).split())
-        if len(vec) != dim:
-            raise ParseError(f"expected {dim} coordinates", lineno)
+        if len(vec) != header.number:
+            raise ParseError(f"expected {header.number} coordinates", lineno)
         key = (letter.family, letter.side, letter.index)
         target = h_star if starred else h
         if key in target:
             raise ParseError("duplicate vector row", lineno)
         target[key] = vec
+
+    signature, _ = _parse_lines(text, header, body)
     if signature is None:
         raise ParseError("empty vector file")
     if (header.kind or "vectors") != "vectors":
         raise ParseError(f"expected a vector table, got kind {header.kind!r}")
-    return VectorSpec(signature, dim, h, h_star)
+    return VectorSpec(signature, header.number, h, h_star)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .cumulant import moments_from_cumulants
-from .dist import CumulantTable, Distribution
+from .dist import CumulantTable, Distribution, tabulate
 from .errors import DomainError
 from .scalars import ONE, ZERO, GaussianRational, format_scalar
 from .words import (LEFT, FaceSignature, FamilyFaces, Letter, Word,
@@ -147,6 +147,26 @@ class VectorSpec:
         return self.h[key], self.h_star[key]
 
 
+def _fock_step(spec: VectorSpec, letter: Letter, state: FockState) -> FockState:
+    """The operator of `letter` (creation plus annihilation) applied to `state`."""
+    create_vec, annih_vec = spec.operator_vectors(letter)
+    if letter.side == LEFT:
+        created = fock_apply(create_left(create_vec), state)
+        killed = fock_apply(annih_left(annih_vec), state)
+    else:
+        created = fock_apply(create_right(create_vec), state)
+        killed = fock_apply(annih_right(annih_vec), state)
+    terms = dict(created.terms)
+    for w, c in killed.terms.items():
+        acc = terms.get(w)
+        c = c if acc is None else acc + c
+        if c:
+            terms[w] = c
+        elif acc is not None:
+            del terms[w]
+    return FockState(created.vacuum + killed.vacuum, terms)
+
+
 def fock_moment(spec: VectorSpec, word: Word) -> GaussianRational:
     """Vacuum expectation of the operator word z_{w_1} ... z_{w_n}.
 
@@ -154,34 +174,19 @@ def fock_moment(spec: VectorSpec, word: Word) -> GaussianRational:
     tensor slot, a right-face letter on the trailing slot; a starred letter
     swaps its creation and annihilation vectors.
     """
+    for letter in word:
+        spec.signature.validate_letter(letter)
     state = fock_vacuum()
     for letter in reversed(word):
-        spec.signature.validate_letter(letter)
-        create_vec, annih_vec = spec.operator_vectors(letter)
-        if letter.side == LEFT:
-            created = fock_apply(create_left(create_vec), state)
-            killed = fock_apply(annih_left(annih_vec), state)
-        else:
-            created = fock_apply(create_right(create_vec), state)
-            killed = fock_apply(annih_right(annih_vec), state)
-        terms = dict(created.terms)
-        for w, c in killed.terms.items():
-            acc = terms.get(w)
-            c = c if acc is None else acc + c
-            if c:
-                terms[w] = c
-            elif acc is not None:
-                del terms[w]
-        state = FockState(created.vacuum + killed.vacuum, terms)
+        state = _fock_step(spec, letter, state)
     return state.vacuum
 
 
 def fock_distribution(spec: VectorSpec, degree: int) -> Distribution:
-    """Tabulate fock_moment over every word up to `degree`."""
-    return Distribution(
-        spec.signature, degree,
-        {w: (ONE if not w else fock_moment(spec, w)) for w in spec.signature.words(degree)},
-    )
+    """fock_moment of every word up to `degree`."""
+    return tabulate(spec.signature, degree, fock_vacuum(),
+                    lambda letter, state: _fock_step(spec, letter, state),
+                    lambda state: state.vacuum)
 
 
 @dataclass
@@ -361,25 +366,18 @@ def group_example_dist(orders, degree: int) -> Distribution:
         raise DomainError("cyclic group orders must all be >= 2")
     signature = group_signature(orders)
 
-    def moment(word: Word) -> GaussianRational:
+    def step(letter: Letter, element: tuple) -> tuple:
         # group element as a reduced alternating tuple of (group, exponent)
-        element: tuple = ()
-        for letter in reversed(word):
-            g = letter.family - 1
-            if letter.side == LEFT:
-                if element and element[0][0] == g:
-                    e = (element[0][1] + 1) % orders[g]
-                    element = ((g, e),) + element[1:] if e else element[1:]
-                else:
-                    element = ((g, 1),) + element
-            else:
-                if element and element[-1][0] == g:
-                    e = (element[-1][1] + 1) % orders[g]
-                    element = element[:-1] + ((g, e),) if e else element[:-1]
-                else:
-                    element = element + ((g, 1),)
-        return ONE if not element else ZERO
+        g = letter.family - 1
+        if letter.side == LEFT:
+            if element and element[0][0] == g:
+                e = (element[0][1] + 1) % orders[g]
+                return ((g, e),) + element[1:] if e else element[1:]
+            return ((g, 1),) + element
+        if element and element[-1][0] == g:
+            e = (element[-1][1] + 1) % orders[g]
+            return element[:-1] + ((g, e),) if e else element[:-1]
+        return element + ((g, 1),)
 
-    return Distribution(
-        signature, degree, {w: moment(w) for w in signature.words(degree)}
-    )
+    return tabulate(signature, degree, (), step,
+                    lambda element: ZERO if element else ONE)

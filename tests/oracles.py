@@ -8,18 +8,23 @@ non-crossing partitions with family-pure blocks, whose free cumulants come
 from Moebius inversion on the non-crossing partition lattice.  The
 convolution-power transform computes cumulants from their definition as
 the N-linear coefficient of the N-th additive convolution power, sharing
-nothing with the library's first-block recursion but `boxplus2`.
+nothing with the library's first-block recursion but `boxplus2`.  The
+scaled sum of N bi-free copies is expanded from the N-fold product into
+its tagged words, sharing nothing with the library's cumulant scaling but
+`bifree_product`.
 """
 
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import isqrt
 
 from bifree.convolve import boxplus2
 from bifree.dist import CumulantTable, Distribution, point_distribution
+from bifree.engine import bifree_product
 from bifree.errors import DomainError
-from bifree.scalars import ONE, ZERO, GaussianRational
-from bifree.words import LEFT
+from bifree.scalars import ONE, ZERO, GaussianRational, qi
+from bifree.words import LEFT, Letter
 
 
 def naive_joint_moment(marginals, word):
@@ -215,3 +220,31 @@ def power_moments(table, degree):
                 probed = linear_coefficient([p.moment(word) for p in powers])
                 solved[word] = table.value(word) - probed
     return Distribution(signature, degree, solved)
+
+
+def scaled_sum_dist_direct(mu, n, degree):
+    """N^(-1/2) times the sum of N bi-free copies of mu, by definition.
+
+    Builds the joint distribution of N tagged copies and expands every
+    moment of the scaled sum into the N^m tagged words.  Exponential in the
+    word degree; intended for N <= 4.
+    """
+    root = isqrt(n)
+    if root * root != n:
+        raise DomainError(f"N must be a perfect square, got {n}")
+    copies = [
+        mu.retag({f.family: (f.family, t) for f in mu.signature.families})
+        for t in range(n)
+    ]
+    joint = bifree_product(copies, degree)
+    inv_root = qi(1, root)
+    moments = {}
+    for word in mu.signature.words(degree):
+        total = ZERO
+        for tags in itertools.product(range(n), repeat=len(word)):
+            tagged = tuple(
+                Letter((l.family, t), l.side, l.index, l.star) for l, t in zip(word, tags)
+            )
+            total = total + joint.moment(tagged)
+        moments[word] = total * inv_root ** len(word)
+    return Distribution(mu.signature, degree, moments)

@@ -9,11 +9,11 @@ import itertools
 import random
 
 import pytest
-from oracles import free_cumulant_oracle, naive_joint_moment
+from oracles import free_cumulant_oracle, naive_joint_moment, scaled_sum_dist_direct
 from util import rand_dist
 
 from bifree.cli import main
-from bifree.clt import clt_report, scaled_sum_dist, scaled_sum_dist_direct
+from bifree.clt import clt_report, scaled_sum_dist
 from bifree.convolve import boxplus2
 from bifree.cumulant import cumulants_from_moments
 from bifree.dist import Distribution, group_families

@@ -143,18 +143,25 @@ def test_clt_subcommand(tmp_path):
     assert any("3/4" in line for line in lines)
 
 
-def test_jobs_flag_is_deterministic(tmp_path, rng):
+def test_product_output_is_deterministic(tmp_path, rng):
     sig2 = two_faced(left=("a",), right=("c",), family=2)
     p1, p2 = tmp_path / "m1.dist", tmp_path / "m2.dist"
     p1.write_text(format_distribution(rand_dist(SIG, 3, rng)))
     p2.write_text(format_distribution(rand_dist(sig2, 3, rng)))
     outs = []
-    for jobs, name in ((1, "a.dist"), (4, "b.dist")):
+    for name in ("a.dist", "b.dist"):
         out = tmp_path / name
         assert main(["product", "--in", str(p1), "--in", str(p2), "--degree", "3",
-                     "--jobs", str(jobs), "--out", str(out)]) == 0
-        outs.append(out.read_text())
+                     "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_jobs_option_is_gone(mu_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["product", "--in", str(mu_path), "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
 def test_input_errors_exit_two(tmp_path, capsys):
@@ -174,6 +181,32 @@ def test_bad_scalar_in_covariance_or_vectors_names_its_line(tmp_path, capsys):
     for argv in (["gaussian", "--cov", str(cov_path)], ["fock", "--vectors", str(vec_path)]):
         assert main(argv) == 2
         assert "line 3: zero denominator" in capsys.readouterr().err
+
+
+COV_AND_VECTORS = {
+    "gaussian": ("--cov", "# family 1 left: a\n# star: no\n{header}1.a 1.a : 1\n"),
+    "fock": ("--vectors", "# family 1 left: a\n# dim: 1\n{header}1.a : 1\n1.a* : 1\n"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COV_AND_VECTORS))
+def test_header_after_entries_is_rejected(tmp_path, capsys, command):
+    flag, template = COV_AND_VECTORS[command]
+    path = tmp_path / "input.txt"
+    path.write_text(template.format(header="") + "# star: yes\n")
+    assert main([command, flag, str(path)]) == 2
+    line = len(path.read_text().splitlines())
+    assert f"line {line}: header line after table entries" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(COV_AND_VECTORS))
+def test_degree_header_is_refused(tmp_path, capsys, command):
+    flag, template = COV_AND_VECTORS[command]
+    path = tmp_path / "input.txt"
+    path.write_text(template.format(header="# degree: 9\n"))
+    assert main([command, flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "line 3: " in err and "takes no '# degree:' header" in err
 
 
 def test_repeated_dim_header_is_rejected(tmp_path, capsys):

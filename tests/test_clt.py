@@ -1,7 +1,8 @@
 import pytest
+from oracles import scaled_sum_dist_direct
 from util import rand_dist
 
-from bifree.clt import clt_report, scaled_sum_dist, scaled_sum_dist_direct
+from bifree.clt import clt_report, scaled_sum_dist
 from bifree.dist import Distribution
 from bifree.errors import DomainError
 from bifree.models import CovarianceSpec, gaussian_dist, gram_psd_check

@@ -286,9 +286,14 @@ def test_classical_independence_of_left_and_right(rng):
                 assert joint_moment(marginals, tuple(word)) == expected
 
 
-def test_deterministic_across_jobs(rng):
-    mu1, mu2 = rand_dist(SIG1, 4, rng), rand_dist(SIG2, 4, rng)
-    assert bifree_product([mu1, mu2], 4, jobs=1) == bifree_product([mu1, mu2], 4, jobs=3)
+def test_product_table_matches_per_word_joint_moment(rng):
+    # the table comes from one suffix-sharing walk, joint_moment evaluates
+    # each word from the vacuum on its own
+    mu1 = rand_dist(SIG1, 4, rng, with_imag=True)
+    mu2 = rand_dist(SIG2, 4, rng)
+    table = bifree_product([mu1, mu2], 4)
+    for word in table.signature.words(4):
+        assert table.moment(word) == joint_moment({1: mu1, 2: mu2}, word)
 
 
 def test_check_bifree_passes_on_product(rng):

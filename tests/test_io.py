@@ -103,6 +103,13 @@ def test_parse_rejects_duplicates_and_bad_headers():
         parse_distribution(MINIMAL.replace("# degree: 1", "# degree: 1\n# degree: 2"))
 
 
+def test_table_header_after_entries_names_its_line():
+    with pytest.raises(ParseError, match="^line 6: header line after table entries"):
+        parse_distribution(MINIMAL + "# star: yes\n")
+    with pytest.raises(ParseError, match="^line 4: a moments file takes no '# dim:' header"):
+        parse_distribution(MINIMAL.replace("# degree: 1", "# degree: 1\n# dim: 2"))
+
+
 def test_complex_scalar_format_matches_spec_example():
     sig = two_faced(left=("a",), right=("c",), family=1, star=True)
     moments = {w: (ONE if not w else qi(0)) for w in sig.words(2)}

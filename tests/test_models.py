@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from util import rand_dist
+from util import rand_dist, rand_scalar
 
 from bifree.cumulant import cumulants_from_moments
 from bifree.engine import check_bifree
@@ -13,7 +13,7 @@ from bifree.models import (CovarianceSpec, VectorSpec, annih_left, covariance_fr
                            fock_vacuum, gaussian_dist, gram_psd_check, gram_quadratic_form,
                            group_example_dist)
 from bifree.scalars import ONE, ZERO, qi
-from bifree.words import LEFT, RIGHT, Letter, two_faced, word_star
+from bifree.words import LEFT, RIGHT, FaceSignature, FamilyFaces, Letter, two_faced, word_star
 
 SIG_LR = two_faced(left=("a",), right=("b",), family=1)
 A = Letter(1, LEFT, "a")
@@ -96,6 +96,22 @@ def test_star_distribution_conjugation():
     tab = fock_distribution(spec, 4)
     for word in sig.words(4):
         assert tab.moment(word_star(sig, word)) == tab.moment(word).conjugate()
+
+
+def test_fock_distribution_matches_per_word_fock_moment(rng):
+    # the table comes from one suffix-sharing walk, fock_moment applies each
+    # word to the vacuum on its own; a walk that extended prefixes instead
+    # of suffixes would differ on these non-commuting operators
+    sig = FaceSignature(tuple(
+        FamilyFaces(f, ("a",), ("b",), True) for f in (1, 2)
+    ))
+    keys = [(l.family, l.side, l.index) for l in sig.letters() if not l.star]
+    h, h_star = ({k: (rand_scalar(rng, True), rand_scalar(rng, True)) for k in keys}
+                 for _ in range(2))
+    spec = VectorSpec(sig, 2, h, h_star)
+    tab = fock_distribution(spec, 4)
+    for word in sig.words(4):
+        assert tab.moment(word) == fock_moment(spec, word)
 
 
 def test_fock_equals_gaussian_small():
