@@ -11,19 +11,26 @@ Internally a state is a dict mapping tensor keys to scalars.  A key is a
 tuple of (tag, word) blocks with adjacent tags distinct; the block (t, w)
 stands for the centered element w - mu_t(w)*1 of constituent t's kernel.
 Multilinearity pushes every linear combination to the outer dict, which is
-what makes term merging effective.  When every input moment is real the
-whole evaluation runs on bare backend rationals instead of Gaussian
-rationals; results are identical.
+what makes term merging effective.
+
+Products and convolutions run on integers by dilation: every variable is
+scaled by D, the lcm of all denominators in the constituents' moment
+tables, so the moment of a word w becomes the integer D^|w|*mu(w) (a
+Gaussian integer for complex tables) and each output moment is divided by
+its power of D once, at the end.  Results are identical to the rational
+evaluation.  The public `apply_left`/`apply_right` act on caller-supplied
+states and keep the constituent's rational table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Mapping, Sequence
 
 from .dist import Distribution, tabulate
 from .errors import DomainError, SignatureError, TruncationError
-from .rationals import RAT_ONE, RAT_ZERO
+from .rationals import RAT_ZERO, rat
 from .scalars import ONE, ZERO, GaussianRational
 from .scalars import _new as _gr
 from .words import (LEFT, RIGHT, FaceSignature, Letter, Word, format_word,
@@ -129,8 +136,9 @@ def _check_alternation(blocks: TensorWord) -> None:
 # The single transition shared by the public and the table-building paths.
 #
 # State keys are tuples of (tag, word) with word a tuple of opaque letters;
-# values support +, *, unary - and truthiness (GaussianRational or a bare
-# backend rational).  A summand (is_left, tag, a, m_a) carries the acting
+# values support +, *, unary - and truthiness (a bare int, a GaussianRational
+# with int components, or, in apply_left/apply_right, a rational or a
+# GaussianRational).  A summand (is_left, tag, a, m_a) carries the acting
 # letter's own first moment; `tables[tag]` resolves every other moment.  A
 # missing table entry can only mean a word past the degree bound, reported
 # through `on_missing`.
@@ -182,13 +190,26 @@ def _apply_step(state: dict, summands, tables, on_missing) -> dict:
 
 
 class _EvalContext:
-    """Interned moment tables for a list of constituent distributions."""
+    """Moment tables of a list of constituents, dilated onto the integers.
+
+    D (`dilation`) is the lcm of the real and imaginary denominators of every
+    moment of every constituent.  The table of constituent t maps the letter
+    ids of a word w to D^|w|*mu_t(w): a bare int when every moment is real,
+    a GaussianRational with int components otherwise.  `_apply_step` only
+    adds, multiplies and negates, and every summand it forms carries the same
+    power of D, so a vacuum coefficient computed from these tables is the
+    dilated moment; `scalar` divides it by its scale.
+    """
 
     def __init__(self, constituents: Sequence[Distribution]):
         self.dists = list(constituents)
         self.real = all(v.is_real for d in self.dists for v in d.moments.values())
-        self.one = RAT_ONE if self.real else ONE
-        self.zero = RAT_ZERO if self.real else ZERO
+        self.dilation = lcm(*(
+            x.denominator for d in self.dists for v in d.moments.values()
+            for x in (v.re, v.im)
+        ))
+        self.one = 1 if self.real else _gr(1, 0)
+        self.zero = 0 if self.real else _gr(0, 0)
         self.letters: list[tuple[Letter, ...]] = []
         self.letter_ids: list[dict[Letter, int]] = []
         self.tables: list[dict] = []
@@ -196,12 +217,11 @@ class _EvalContext:
         for dist in self.dists:
             alphabet = dist.signature.letters()
             ids = {letter: i for i, letter in enumerate(alphabet)}
-            if self.real:
-                table = {
-                    tuple(ids[l] for l in w): v.re for w, v in dist.moments.items()
-                }
-            else:
-                table = {tuple(ids[l] for l in w): v for w, v in dist.moments.items()}
+            powers = [self.dilation**k for k in range(dist.degree + 1)]
+            table = {
+                tuple(ids[l] for l in w): self.dilated(v, powers[len(w)])
+                for w, v in dist.moments.items()
+            }
             self.letters.append(alphabet)
             self.letter_ids.append(ids)
             self.tables.append(table)
@@ -217,19 +237,36 @@ class _EvalContext:
     def summand(self, is_left: bool, tag: int, letter_id: int):
         return (is_left, tag, letter_id, self.tables[tag][(letter_id,)])
 
-    def wrap(self, value) -> GaussianRational:
-        return _gr(value, RAT_ZERO) if self.real else value
+    def dilated(self, value: GaussianRational, scale: int):
+        """scale*value on the integers (Gaussian integers unless all real)."""
+        if self.real:
+            return _dilate(value.re, scale)
+        return _gr(_dilate(value.re, scale), _dilate(value.im, scale))
+
+    def scalar(self, value, scale: int) -> GaussianRational:
+        """The moment whose dilation by `scale` is the integer `value`."""
+        if self.real:
+            return _gr(rat(value, scale), RAT_ZERO)
+        return _gr(rat(value.re, scale), rat(value.im, scale))
+
+
+def _dilate(q, scale: int) -> int:
+    """scale*q as an int; `scale` is a multiple of q's denominator by construction."""
+    whole, rest = divmod(scale, int(q.denominator))
+    if rest:
+        raise ArithmeticError(f"dilation by {scale} leaves {q} non-integral")
+    return int(q.numerator) * whole
 
 
 _MISSING = object()
 
 
-def _eval_steps(ctx: _EvalContext, steps: Sequence) -> object:
+def _eval_steps(ctx: _EvalContext, steps: Sequence) -> GaussianRational:
     """Vacuum coefficient of (product of step operators) applied to the unit."""
     state = {(): ctx.one}
     for step in reversed(steps):
         state = _apply_step(state, step, ctx.tables, ctx.on_missing)
-    return state.get((), ctx.zero)
+    return ctx.scalar(state.get((), ctx.zero), ctx.dilation ** len(steps))
 
 
 def _build_table(ctx: _EvalContext, signature: FaceSignature,
@@ -238,19 +275,23 @@ def _build_table(ctx: _EvalContext, signature: FaceSignature,
 
     letter_steps maps each output letter to the operator steps it denotes
     (several steps mean an operator product, applied right to left; each
-    step is a sum of elementary letter actions).
+    step is a sum of elementary letter actions).  Each step is dilated by
+    D, so the walk carries beside each state its scale, the product of
+    D^len(letter_steps[letter]) over the word's letters.
     """
     tables = ctx.tables
     on_missing = ctx.on_missing
     zero = ctx.zero
+    growth = {letter: ctx.dilation ** len(steps) for letter, steps in letter_steps.items()}
 
-    def step(letter, state):
+    def step(letter, carried):
+        state, scale = carried
         for s in reversed(letter_steps[letter]):
             state = _apply_step(state, s, tables, on_missing)
-        return state
+        return state, scale * growth[letter]
 
-    return tabulate(signature, degree, {(): ctx.one}, step,
-                    lambda state: ctx.wrap(state.get((), zero)))
+    return tabulate(signature, degree, ({(): ctx.one}, 1), step,
+                    lambda carried: ctx.scalar(carried[0].get((), zero), carried[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +384,7 @@ def joint_moment(marginals: Mapping[object, Distribution], word: Word) -> Gaussi
     """Moment of `word` under the bi-free joint distribution of the marginals."""
     ctx = _EvalContext(list(marginals.values()))
     tag_of = {family: i for i, family in enumerate(marginals)}
-    return ctx.wrap(_eval_steps(ctx, _word_steps(ctx, tag_of, word)))
+    return _eval_steps(ctx, _word_steps(ctx, tag_of, word))
 
 
 def bifree_product(marginals: Sequence[Distribution], degree: int) -> Distribution:

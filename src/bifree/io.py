@@ -155,22 +155,31 @@ def _parse_scalar(text: str, lineno: int) -> GaussianRational:
         raise ParseError(str(exc), lineno) from None
 
 
-def _parse_word(text: str, signature: FaceSignature, lineno: int) -> Word:
+def _parse_word(text: str, signature: FaceSignature, lineno: int,
+                letters: dict[str, Letter]) -> Word:
+    """`letters` maps every token of the file that has parsed to its letter,
+    so each distinct token is parsed once, on the first line that holds it;
+    a bad token is never stored and fails on each line where it occurs."""
     text = text.strip()
     if text == "()":
         return ()
-    return tuple(_parse_letter(tok, signature, lineno) for tok in text.split())
+    tokens = text.split()
+    for tok in tokens:
+        if tok not in letters:
+            letters[tok] = _parse_letter(tok, signature, lineno)
+    return tuple(map(letters.__getitem__, tokens))
 
 
 def _parse_table(text: str, kind: str):
     header = _HeaderState(kind, "degree")
     entries: dict[Word, GaussianRational] = {}
+    letters: dict[str, Letter] = {}
 
     def body(signature, line, lineno):
         if ":" not in line:
             raise ParseError("expected 'WORD : SCALAR'", lineno)
         word_text, _, scalar_text = line.partition(":")
-        word = _parse_word(word_text, signature, lineno)
+        word = _parse_word(word_text, signature, lineno, letters)
         value = _parse_scalar(scalar_text, lineno)
         if word in entries:
             raise ParseError(f"duplicate entry for word {format_word(word)}", lineno)

@@ -81,7 +81,7 @@ class GaussianRational:
         a, b, c, d = self.re, self.im, other.re, other.im
         if b or d:
             return _new(a * c - b * d, a * d + b * c)
-        return _new(a * c, RAT_ZERO)
+        return _new(a * c, b)
 
     __rmul__ = __mul__
 

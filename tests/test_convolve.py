@@ -1,11 +1,11 @@
 import itertools
 
 import pytest
-from util import rand_dist
+from util import coprime_dist, rand_dist
 
 from bifree.convolve import boxplus2, boxtimes2
 from bifree.dist import Distribution, ones_distribution, point_distribution
-from bifree.engine import bifree_product
+from bifree.engine import bifree_product, joint_moment
 from bifree.errors import SignatureError, TruncationError
 from bifree.scalars import ONE, ZERO, qi
 from bifree.words import LEFT, Letter, two_faced
@@ -49,13 +49,12 @@ def test_signature_and_degree_errors(rng):
         boxplus2(mu, rand_dist(SIG, 2, rng), 3)
 
 
-def test_matches_tagged_expansion_through_product(rng):
+def _assert_matches_tagged_expansion(mu, nu, degree):
     # independent route: re-tag both inputs, take the bi-free product, and
     # sum the 2^n tagged words per output word
-    mu, nu = rand_dist(SIG, 3, rng), rand_dist(SIG, 3, rng)
-    joint = bifree_product([mu.retag({1: "m"}), nu.retag({1: "n"})], 3)
-    fast = boxplus2(mu, nu, 3)
-    for word in SIG.words(3):
+    joint = bifree_product([mu.retag({1: "m"}), nu.retag({1: "n"})], degree)
+    fast = boxplus2(mu, nu, degree)
+    for word in SIG.words(degree):
         total = ZERO
         for tags in itertools.product("mn", repeat=len(word)):
             tagged = tuple(
@@ -65,24 +64,39 @@ def test_matches_tagged_expansion_through_product(rng):
         assert fast.moment(word) == total
 
 
+def test_matches_tagged_expansion_through_product(rng):
+    _assert_matches_tagged_expansion(rand_dist(SIG, 3, rng), rand_dist(SIG, 3, rng), 3)
+
+
+def test_additive_on_complex_coprime_denominators(rng):
+    mu, nu = coprime_dist(SIG, 4, rng, 7, 11), coprime_dist(SIG, 4, rng, 13, 1)
+    _assert_matches_tagged_expansion(mu, nu, 4)
+
+
 def test_multiplicative_units(rng):
     mu = rand_dist(SIG, 3, rng)
     assert boxtimes2(mu, ones_distribution(SIG, 3), 3) == mu
     assert boxtimes2(ones_distribution(SIG, 3), mu, 3) == mu
 
 
-def test_multiplicative_matches_doubled_word_route(rng):
-    from bifree.engine import joint_moment
-
-    mu, nu = rand_dist(SIG, 3, rng), rand_dist(SIG, 3, rng)
+def _assert_matches_doubled_word_route(mu, nu, degree):
     marginals = {"m": mu.retag({1: "m"}), "n": nu.retag({1: "n"})}
-    fast = boxtimes2(mu, nu, 3)
-    for word in SIG.words(3):
+    fast = boxtimes2(mu, nu, degree)
+    for word in SIG.words(degree):
         doubled = []
         for letter in word:
             doubled.append(Letter("m", letter.side, letter.index, letter.star))
             doubled.append(Letter("n", letter.side, letter.index, letter.star))
         assert fast.moment(word) == joint_moment(marginals, tuple(doubled))
+
+
+def test_multiplicative_matches_doubled_word_route(rng):
+    _assert_matches_doubled_word_route(rand_dist(SIG, 3, rng), rand_dist(SIG, 3, rng), 3)
+
+
+def test_multiplicative_on_complex_coprime_denominators(rng):
+    mu, nu = coprime_dist(SIG, 3, rng, 7, 11), coprime_dist(SIG, 3, rng, 13, 1)
+    _assert_matches_doubled_word_route(mu, nu, 3)
 
 
 def test_multiplicative_example_single_left_variable():

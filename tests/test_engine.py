@@ -3,14 +3,15 @@ import random
 
 import pytest
 from oracles import free_product_moment, naive_joint_moment
-from util import rand_dist
+from util import coprime_dist, rand_dist
 
 from bifree.dist import Distribution, group_families
-from bifree.engine import (TensorState, apply_left, apply_right, bifree_product,
-                           check_bifree, joint_moment, reduced_vector,
-                           vacuum_coefficient, vacuum_state)
+from bifree.engine import (TensorState, _apply_step, _dilate, _EvalContext, apply_left,
+                           apply_right, bifree_product, check_bifree, joint_moment,
+                           reduced_vector, vacuum_coefficient, vacuum_state)
 from bifree.errors import DomainError, SignatureError, TruncationError
-from bifree.scalars import ONE, ZERO, qi
+from bifree.rationals import rat
+from bifree.scalars import ONE, ZERO, GaussianRational, qi
 from bifree.words import LEFT, RIGHT, FaceSignature, Letter, two_faced
 
 SIG1 = two_faced(left=("a",), right=("c",), family=1)
@@ -350,3 +351,53 @@ def test_product_associativity_via_grouping(rng):
     left_first = bifree_product([bifree_product(mus[:2], 3), mus[2]], 3)
     all_at_once = bifree_product(mus, 3)
     assert left_first == all_at_once
+
+
+# ---------------------------------------------------------------------------
+# dilation onto the integers
+
+
+def _coprime_marginals(rng, degree):
+    # pairwise-coprime denominators: a complex marginal over 7 (real parts)
+    # and 11 (imaginary parts), a real one over 13 and an all-integer one
+    sigs = [two_faced(left=("a",), right=("c",), family=k) for k in (1, 2, 3)]
+    return [coprime_dist(sigs[0], degree, rng, 7, 11),
+            coprime_dist(sigs[1], degree, rng, 13),
+            coprime_dist(sigs[2], degree, rng, 1)]
+
+
+def test_product_on_coprime_denominators_matches_naive_oracle(rng):
+    mus = _coprime_marginals(rng, 4)
+    assert _EvalContext(mus).dilation == 7 * 11 * 13
+    table = bifree_product(mus, 4)
+    marginals = {k: mu for k, mu in enumerate(mus, start=1)}
+    for word in table.signature.words(4):
+        assert table.moment(word) == naive_joint_moment(marginals, word)
+
+
+def test_dilated_tables_hold_integers(rng):
+    real = _EvalContext([coprime_dist(SIG1, 3, rng, 7), coprime_dist(SIG2, 3, rng, 1)])
+    assert real.dilation == 7
+    assert all(type(v) is int for table in real.tables for v in table.values())
+
+    mus = _coprime_marginals(rng, 3)
+    ctx = _EvalContext(mus)
+    for mu, ids, table in zip(mus, ctx.letter_ids, ctx.tables):
+        for word, value in mu.moments.items():
+            dilated = table[tuple(ids[l] for l in word)]
+            assert isinstance(dilated, GaussianRational)
+            assert type(dilated.re) is int and type(dilated.im) is int
+            assert dilated == value * qi(ctx.dilation ** len(word))
+    # the states stay on Gaussian integers as letters act on them
+    state = {(): ctx.one}
+    for is_left, tag in ((True, 0), (False, 1), (True, 0), (False, 0), (True, 2)):
+        step = (ctx.summand(is_left, tag, 0 if is_left else 1),)
+        state = _apply_step(state, step, ctx.tables, ctx.on_missing)
+        assert state
+        assert all(type(v.re) is int and type(v.im) is int for v in state.values())
+
+
+def test_dilation_refuses_a_non_integral_entry():
+    assert _dilate(rat(-2, 3), 6) == -4
+    with pytest.raises(ArithmeticError):
+        _dilate(rat(1, 3), 4)

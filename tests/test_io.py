@@ -94,6 +94,17 @@ def test_parse_rejects_undeclared_letter():
         parse_distribution(MINIMAL.replace("1.a :", "1.a* :"))
 
 
+def test_undeclared_letter_after_parsed_tokens_names_its_line():
+    # tokens that parsed are reused on later lines; a bad one still fails
+    # on the line where it occurs, also next to an already parsed token
+    text = ("# family 1 left: a\n# family 1 right: c\n# star: no\n# degree: 2\n"
+            "() : 1\n1.a : 1\n1.c : 2\n1.a 1.a : 1\n1.a 1.c : 3\n1.a 1.z : 1\n")
+    with pytest.raises(ParseError, match="^line 10: letter '1.z' names an undeclared index"):
+        parse_distribution(text)
+    with pytest.raises(ParseError, match="^line 8: letter '1.z' names an undeclared index"):
+        parse_distribution(text.replace("1.a 1.a : 1", "1.z 1.a : 1"))
+
+
 def test_parse_rejects_duplicates_and_bad_headers():
     with pytest.raises(ParseError):
         parse_distribution(MINIMAL + "1.a : 1/2\n")

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bifree.errors import ParseError
-from bifree.scalars import (ONE, ZERO, GaussianRational, decimal_magnitude,
+from bifree.scalars import (ONE, ZERO, GaussianRational, _new, decimal_magnitude,
                             format_scalar, parse_scalar, qi)
 
 rationals = st.fractions(max_denominator=50)
@@ -65,6 +65,15 @@ def test_integer_interop():
     assert qi(3, 4) / 3 == qi(1, 4)
     assert qi(2) ** 5 == qi(32)
     assert qi(1, 2, 1, 2) ** 2 == qi(0, 1, 1, 2)
+
+
+def test_integer_components_stay_integers():
+    # Gaussian integers with int components, as the dilated engine uses them
+    a, b, r, zero = _new(3, -2), _new(-5, 7), _new(4, 0), _new(0, 0)
+    for v in (a + b, a - b, a * b, -a, r * r, r * a, a * r, r + r, r - a, -r,
+              r * zero, zero * zero):
+        assert type(v.re) is int and type(v.im) is int
+    assert r * r == qi(16) and a * b == qi(-1, 1, 31, 1)
 
 
 def test_decimal_magnitude():

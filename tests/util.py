@@ -20,3 +20,23 @@ def rand_dist(signature, degree, rng, with_imag=False, centered=False):
         else:
             moments[word] = rand_scalar(rng, with_imag)
     return Distribution(signature, degree, moments)
+
+
+def coprime_dist(signature, degree, rng, re_den, im_den=None):
+    """Random table whose real parts have denominator `re_den` and whose
+    imaginary parts (complex only when `im_den` is given) have denominator
+    `im_den`.  Numerators are nonzero and at most 6 in size, so a prime
+    denominator above 6, or 1, is exact in every entry."""
+
+    def part(den):
+        return qi(rng.choice((-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6)), den)
+
+    moments = {}
+    for word in signature.words(degree):
+        if not word:
+            moments[word] = ONE
+        elif im_den is None:
+            moments[word] = part(re_den)
+        else:
+            moments[word] = part(re_den) + part(im_den) * qi(0, 1, 1, 1)
+    return Distribution(signature, degree, moments)
