@@ -25,13 +25,12 @@ states and keep the constituent's rational table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from typing import Mapping, Sequence
 
 from .dist import Distribution, tabulate
 from .errors import DomainError, SignatureError, TruncationError
-from .rationals import RAT_ZERO, rat
-from .scalars import ONE, ZERO, GaussianRational
+from .rationals import RAT_ZERO
+from .scalars import ONE, ZERO, Dilation, GaussianRational
 from .scalars import _new as _gr
 from .words import (LEFT, RIGHT, FaceSignature, Letter, Word, format_word,
                     union_signatures)
@@ -189,7 +188,7 @@ def _apply_step(state: dict, summands, tables, on_missing) -> dict:
 # Compiled evaluation context
 
 
-class _EvalContext:
+class _EvalContext(Dilation):
     """Moment tables of a list of constituents, dilated onto the integers.
 
     D (`dilation`) is the lcm of the real and imaginary denominators of every
@@ -203,13 +202,7 @@ class _EvalContext:
 
     def __init__(self, constituents: Sequence[Distribution]):
         self.dists = list(constituents)
-        self.real = all(v.is_real for d in self.dists for v in d.moments.values())
-        self.dilation = lcm(*(
-            x.denominator for d in self.dists for v in d.moments.values()
-            for x in (v.re, v.im)
-        ))
-        self.one = 1 if self.real else _gr(1, 0)
-        self.zero = 0 if self.real else _gr(0, 0)
+        super().__init__(v for d in self.dists for v in d.moments.values())
         self.letters: list[tuple[Letter, ...]] = []
         self.letter_ids: list[dict[Letter, int]] = []
         self.tables: list[dict] = []
@@ -236,26 +229,6 @@ class _EvalContext:
 
     def summand(self, is_left: bool, tag: int, letter_id: int):
         return (is_left, tag, letter_id, self.tables[tag][(letter_id,)])
-
-    def dilated(self, value: GaussianRational, scale: int):
-        """scale*value on the integers (Gaussian integers unless all real)."""
-        if self.real:
-            return _dilate(value.re, scale)
-        return _gr(_dilate(value.re, scale), _dilate(value.im, scale))
-
-    def scalar(self, value, scale: int) -> GaussianRational:
-        """The moment whose dilation by `scale` is the integer `value`."""
-        if self.real:
-            return _gr(rat(value, scale), RAT_ZERO)
-        return _gr(rat(value.re, scale), rat(value.im, scale))
-
-
-def _dilate(q, scale: int) -> int:
-    """scale*q as an int; `scale` is a multiple of q's denominator by construction."""
-    whole, rest = divmod(scale, int(q.denominator))
-    if rest:
-        raise ArithmeticError(f"dilation by {scale} leaves {q} non-integral")
-    return int(q.numerator) * whole
 
 
 _MISSING = object()

@@ -174,13 +174,17 @@ def _parse_table(text: str, kind: str):
     header = _HeaderState(kind, "degree")
     entries: dict[Word, GaussianRational] = {}
     letters: dict[str, Letter] = {}
+    # like `letters`, for scalar texts: only texts that parsed are stored
+    scalars: dict[str, GaussianRational] = {}
 
     def body(signature, line, lineno):
         if ":" not in line:
             raise ParseError("expected 'WORD : SCALAR'", lineno)
         word_text, _, scalar_text = line.partition(":")
         word = _parse_word(word_text, signature, lineno, letters)
-        value = _parse_scalar(scalar_text, lineno)
+        value = scalars.get(scalar_text)
+        if value is None:
+            value = scalars[scalar_text] = _parse_scalar(scalar_text, lineno)
         if word in entries:
             raise ParseError(f"duplicate entry for word {format_word(word)}", lineno)
         entries[word] = value

@@ -1,17 +1,26 @@
-"""Concrete realizations: full Fock space operators, central-limit
-distributions from covariance data, an exact positivity test, and the
-left/right regular representation of a free product of cyclic groups.
+"""Concrete realizations: moments of creation plus annihilation operators
+on full Fock space, central-limit distributions from covariance data, an
+exact positivity test, and the left/right regular representation of a free
+product of cyclic groups.
+
+Fock moments come from one walk over states keyed by interned creation
+vectors and dilated onto the integers (`_FockWalk`); the definitional
+operators on coordinate-vector tensors are the reference in the tests.
+`gaussian_dist` stays on the cumulant route (degree-2 cumulants from the
+covariance, all others zero), so comparing the two checks the Fock
+realization of the bi-free central limit rather than one walk with itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from functools import partial
+from typing import Callable, Mapping
 
 from .cumulant import moments_from_cumulants
 from .dist import CumulantTable, Distribution, tabulate
 from .errors import DomainError
-from .scalars import ONE, ZERO, GaussianRational, format_scalar
+from .scalars import ONE, ZERO, Dilation, GaussianRational, format_scalar
 from .words import (LEFT, FaceSignature, FamilyFaces, Letter, Word,
                     format_letter, format_word, word_star)
 
@@ -26,88 +35,6 @@ def inner(u: Vector, v: Vector) -> GaussianRational:
     for a, b in zip(u, v):
         total = total + a * b.conjugate()
     return total
-
-
-# ---------------------------------------------------------------------------
-# Full Fock space
-
-
-@dataclass
-class FockState:
-    """Linear combination of elementary tensors plus a vacuum coefficient."""
-
-    vacuum: GaussianRational
-    terms: dict[tuple[Vector, ...], GaussianRational]
-
-
-def fock_vacuum() -> FockState:
-    return FockState(ONE, {})
-
-
-@dataclass(frozen=True)
-class FockOp:
-    kind: str  # create_left | annih_left | create_right | annih_right
-    vector: Vector
-
-
-def create_left(h) -> FockOp:
-    return FockOp("create_left", tuple(h))
-
-
-def annih_left(h) -> FockOp:
-    return FockOp("annih_left", tuple(h))
-
-
-def create_right(h) -> FockOp:
-    return FockOp("create_right", tuple(h))
-
-
-def annih_right(h) -> FockOp:
-    return FockOp("annih_right", tuple(h))
-
-
-def fock_apply(op: FockOp, state: FockState) -> FockState:
-    """One creation or annihilation operator applied to a Fock state."""
-    h = op.vector
-    for word in state.terms:
-        if word and len(word[0]) != len(h):
-            raise DomainError("operator vector length does not match state dimension")
-    vacuum = ZERO
-    terms: dict[tuple[Vector, ...], GaussianRational] = {}
-
-    def add(word, value):
-        nonlocal vacuum
-        if not value:
-            return
-        if word == ():
-            vacuum = vacuum + value
-            return
-        acc = terms.get(word)
-        value = value if acc is None else acc + value
-        if value:
-            terms[word] = value
-        elif acc is not None:
-            del terms[word]
-
-    if op.kind == "create_left":
-        if state.vacuum:
-            add((h,), state.vacuum)
-        for word, c in state.terms.items():
-            add((h,) + word, c)
-    elif op.kind == "create_right":
-        if state.vacuum:
-            add((h,), state.vacuum)
-        for word, c in state.terms.items():
-            add(word + (h,), c)
-    elif op.kind == "annih_left":
-        for word, c in state.terms.items():
-            add(word[1:], c * inner(word[0], h))
-    elif op.kind == "annih_right":
-        for word, c in state.terms.items():
-            add(word[:-1], c * inner(word[-1], h))
-    else:
-        raise DomainError(f"unknown Fock operator kind {op.kind!r}")
-    return FockState(vacuum, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -147,24 +74,60 @@ class VectorSpec:
         return self.h[key], self.h_star[key]
 
 
-def _fock_step(spec: VectorSpec, letter: Letter, state: FockState) -> FockState:
-    """The operator of `letter` (creation plus annihilation) applied to `state`."""
-    create_vec, annih_vec = spec.operator_vectors(letter)
-    if letter.side == LEFT:
-        created = fock_apply(create_left(create_vec), state)
-        killed = fock_apply(annih_left(annih_vec), state)
-    else:
-        created = fock_apply(create_right(create_vec), state)
-        killed = fock_apply(annih_right(annih_vec), state)
-    terms = dict(created.terms)
-    for w, c in killed.terms.items():
-        acc = terms.get(w)
-        c = c if acc is None else acc + c
-        if c:
-            terms[w] = c
-        elif acc is not None:
-            del terms[w]
-    return FockState(created.vacuum + killed.vacuum, terms)
+class _FockWalk(Dilation):
+    """The operators of a vector spec on full Fock space, on integer keys.
+
+    Each distinct creation vector gets an int id, and a state maps tuples of
+    vector ids (the tensor slots, head first) to coefficients.  An
+    annihilation only reads <slot vector, annihilation vector>, so each
+    letter carries that inner product for every interned vector, dilated by
+    D, the lcm of the denominators of all these tables: the state runs on
+    integers.  Beside the state the walk carries its letter count k.  Each
+    annihilation multiplies by D, and the vacuum term of k letters has had
+    k/2 of them, so its moment is that term over D^(k/2).
+    """
+
+    def __init__(self, spec: VectorSpec):
+        vectors = {letter: spec.operator_vectors(letter) for letter in spec.signature.letters()}
+        ids: dict[Vector, int] = {}
+        for create, _ in vectors.values():
+            ids.setdefault(tuple(create), len(ids))
+        rows = {letter: [inner(v, annih) for v in ids] for letter, (_, annih) in vectors.items()}
+        super().__init__(x for row in rows.values() for x in row)
+        self.moves = {
+            letter: (letter.side == LEFT, ids[tuple(vectors[letter][0])],
+                     [self.dilated(x, self.dilation) for x in row])
+            for letter, row in rows.items()
+        }
+        self.start = ({(): self.one}, 0)
+
+    def step(self, letter: Letter, carried):
+        """Creation plus annihilation: a left letter prepends its vector id
+        or drops the head slot, a right letter does both at the tail."""
+        state, k = carried
+        is_left, vid, table = self.moves[letter]
+        if is_left:
+            out = {(vid,) + key: c for key, c in state.items()}
+            end, rest = 0, slice(1, None)
+        else:
+            out = {key + (vid,): c for key, c in state.items()}
+            end, rest = -1, slice(None, -1)
+        for key, c in state.items():
+            if key and (t := table[key[end]]):
+                shorter = key[rest]
+                acc = out.get(shorter)
+                value = c * t if acc is None else acc + c * t
+                if value:
+                    out[shorter] = value
+                else:
+                    del out[shorter]
+        return out, k + 1
+
+    def read(self, carried) -> GaussianRational:
+        """The vacuum term over D^(k/2); odd words have none and read ZERO."""
+        state, k = carried
+        value = state.get(())
+        return ZERO if value is None else self.scalar(value, self.dilation ** (k // 2))
 
 
 def fock_moment(spec: VectorSpec, word: Word) -> GaussianRational:
@@ -176,17 +139,17 @@ def fock_moment(spec: VectorSpec, word: Word) -> GaussianRational:
     """
     for letter in word:
         spec.signature.validate_letter(letter)
-    state = fock_vacuum()
+    walk = _FockWalk(spec)
+    carried = walk.start
     for letter in reversed(word):
-        state = _fock_step(spec, letter, state)
-    return state.vacuum
+        carried = walk.step(letter, carried)
+    return walk.read(carried)
 
 
 def fock_distribution(spec: VectorSpec, degree: int) -> Distribution:
     """fock_moment of every word up to `degree`."""
-    return tabulate(spec.signature, degree, fock_vacuum(),
-                    lambda letter, state: _fock_step(spec, letter, state),
-                    lambda state: state.vacuum)
+    walk = _FockWalk(spec)
+    return tabulate(spec.signature, degree, walk.start, walk.step, walk.read)
 
 
 @dataclass
@@ -247,18 +210,21 @@ class PsdResult:
             yield f"{format_word(word)} : {format_scalar(coeff)}"
 
 
-def _involution(signature: FaceSignature, word: Word) -> Word:
+def _involution(signature: FaceSignature) -> Callable[[Word], Word]:
+    """The word star of a star-closed signature; otherwise every letter is
+    taken self-adjoint and the involution is word reversal."""
     if signature.star_closed:
-        return word_star(signature, word)
-    return tuple(reversed(word))
+        return partial(word_star, signature)
+    return lambda word: word[::-1]
 
 
 def gram_quadratic_form(mu: Distribution, poly: Mapping[Word, GaussianRational]) -> GaussianRational:
     """mu(P* P) for a polynomial P given by word coefficients."""
+    star = _involution(mu.signature)
     total = ZERO
     for u, cu in poly.items():
         for w, cw in poly.items():
-            total = total + cu.conjugate() * cw * mu.moment(_involution(mu.signature, u) + w)
+            total = total + cu.conjugate() * cw * mu.moment(star(u) + w)
     return total
 
 
@@ -276,10 +242,8 @@ def gram_psd_check(mu: Distribution, degree: int) -> PsdResult:
         raise DomainError(f"moment table degree {mu.degree} below requested {degree}")
     basis = list(mu.signature.words(degree // 2))
     n = len(basis)
-    gram = [
-        [mu.moment(_involution(mu.signature, basis[i]) + basis[j]) for j in range(n)]
-        for i in range(n)
-    ]
+    moments = mu.moments
+    gram = [[moments[u + w] for w in basis] for u in map(_involution(mu.signature), basis)]
     for i in range(n):
         for j in range(i, n):
             if gram[i][j] != gram[j][i].conjugate():

@@ -2,18 +2,19 @@
 
 All scalar values in the library are of this type; no floats anywhere.
 The components are gcd-reduced rationals with positive denominator, which
-the rational backend guarantees.
+the rational backend guarantees.  `Dilation` scales a set of them onto the
+integers for the kernels that run on ints (the engine and the Fock walk).
 """
 
 from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from numbers import Rational
 
 from .errors import ParseError
-from .rationals import RAT_ZERO, Rat
+from .rationals import RAT_ZERO, Rat, rat
 
 
 def _new(re, im) -> GaussianRational:
@@ -141,6 +142,44 @@ def _coerce(value):
     if isinstance(value, (int, Rational)):
         return _new(Rat(value), RAT_ZERO)
     return None
+
+
+class Dilation:
+    """Exact values scaled onto the integers.
+
+    D (`dilation`) is the lcm of the real and imaginary denominators of
+    `values`.  A dilated value is an int when every one of `values` is real,
+    a GaussianRational with int components otherwise; `one` and `zero` are
+    of that type.  Sums and products of dilated values stay integers, so a
+    kernel can run on them and divide once at the end with `scalar`.
+    """
+
+    def __init__(self, values):
+        values = list(values)
+        self.real = all(v.is_real for v in values)
+        self.dilation = lcm(*(x.denominator for v in values for x in (v.re, v.im)))
+        self.one = 1 if self.real else _new(1, 0)
+        self.zero = 0 if self.real else _new(0, 0)
+
+    def dilated(self, value: GaussianRational, scale: int):
+        """scale*value on the integers (Gaussian integers unless all real)."""
+        if self.real:
+            return _dilate(value.re, scale)
+        return _new(_dilate(value.re, scale), _dilate(value.im, scale))
+
+    def scalar(self, value, scale: int) -> GaussianRational:
+        """The value whose dilation by `scale` is the integer `value`."""
+        if self.real:
+            return _new(rat(value, scale), RAT_ZERO)
+        return _new(rat(value.re, scale), rat(value.im, scale))
+
+
+def _dilate(q, scale: int) -> int:
+    """scale*q as an int; `scale` is a multiple of q's denominator by construction."""
+    whole, rest = divmod(scale, int(q.denominator))
+    if rest:
+        raise ArithmeticError(f"dilation by {scale} leaves {q} non-integral")
+    return int(q.numerator) * whole
 
 
 def qi(re_num, re_den=1, im_num=0, im_den=1) -> GaussianRational:

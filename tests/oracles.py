@@ -11,7 +11,9 @@ the N-linear coefficient of the N-th additive convolution power, sharing
 nothing with the library's first-block recursion but `boxplus2`.  The
 scaled sum of N bi-free copies is expanded from the N-fold product into
 its tagged words, sharing nothing with the library's cumulant scaling but
-`bifree_product`.
+`bifree_product`.  The Fock realization applies creation and annihilation
+operators to tensors of coordinate vectors, one word at a time, sharing
+nothing with the library's Fock walk but `VectorSpec.operator_vectors`.
 """
 
 import itertools
@@ -23,8 +25,9 @@ from bifree.convolve import boxplus2
 from bifree.dist import CumulantTable, Distribution, point_distribution
 from bifree.engine import bifree_product
 from bifree.errors import DomainError
+from bifree.models import VectorSpec
 from bifree.scalars import ONE, ZERO, GaussianRational, qi
-from bifree.words import LEFT, Letter
+from bifree.words import LEFT, Letter, Word
 
 
 def naive_joint_moment(marginals, word):
@@ -248,3 +251,119 @@ def scaled_sum_dist_direct(mu, n, degree):
             total = total + joint.moment(tagged)
         moments[word] = total * inv_root ** len(word)
     return Distribution(mu.signature, degree, moments)
+
+
+# ---------------------------------------------------------------------------
+# Full Fock space, by definition
+
+
+@dataclass
+class FockState:
+    """Linear combination of elementary tensors plus a vacuum coefficient."""
+
+    vacuum: GaussianRational
+    terms: dict
+
+
+def fock_vacuum():
+    return FockState(ONE, {})
+
+
+@dataclass(frozen=True)
+class FockOp:
+    kind: str  # create_left | annih_left | create_right | annih_right
+    vector: tuple
+
+
+def create_left(h):
+    return FockOp("create_left", tuple(h))
+
+
+def annih_left(h):
+    return FockOp("annih_left", tuple(h))
+
+
+def create_right(h):
+    return FockOp("create_right", tuple(h))
+
+
+def annih_right(h):
+    return FockOp("annih_right", tuple(h))
+
+
+def _inner(u, v):
+    """<u, v>, conjugate-linear in the second slot."""
+    return sum((a * b.conjugate() for a, b in zip(u, v, strict=True)), ZERO)
+
+
+def fock_apply(op, state):
+    """One creation or annihilation operator applied to a Fock state."""
+    h = op.vector
+    for word in state.terms:
+        if word and len(word[0]) != len(h):
+            raise DomainError("operator vector length does not match state dimension")
+    vacuum = ZERO
+    terms = {}
+
+    def add(word, value):
+        nonlocal vacuum
+        if not value:
+            return
+        if word == ():
+            vacuum = vacuum + value
+            return
+        acc = terms.get(word)
+        value = value if acc is None else acc + value
+        if value:
+            terms[word] = value
+        elif acc is not None:
+            del terms[word]
+
+    if op.kind == "create_left":
+        if state.vacuum:
+            add((h,), state.vacuum)
+        for word, c in state.terms.items():
+            add((h,) + word, c)
+    elif op.kind == "create_right":
+        if state.vacuum:
+            add((h,), state.vacuum)
+        for word, c in state.terms.items():
+            add(word + (h,), c)
+    elif op.kind == "annih_left":
+        for word, c in state.terms.items():
+            add(word[1:], c * _inner(word[0], h))
+    elif op.kind == "annih_right":
+        for word, c in state.terms.items():
+            add(word[:-1], c * _inner(word[-1], h))
+    else:
+        raise DomainError(f"unknown Fock operator kind {op.kind!r}")
+    return FockState(vacuum, terms)
+
+
+def fock_step(spec: VectorSpec, letter: Letter, state: FockState) -> FockState:
+    """The operator of `letter` (creation plus annihilation) applied to `state`."""
+    create_vec, annih_vec = spec.operator_vectors(letter)
+    if letter.side == LEFT:
+        created = fock_apply(create_left(create_vec), state)
+        killed = fock_apply(annih_left(annih_vec), state)
+    else:
+        created = fock_apply(create_right(create_vec), state)
+        killed = fock_apply(annih_right(annih_vec), state)
+    terms = dict(created.terms)
+    for w, c in killed.terms.items():
+        acc = terms.get(w)
+        c = c if acc is None else acc + c
+        if c:
+            terms[w] = c
+        elif acc is not None:
+            del terms[w]
+    return FockState(created.vacuum + killed.vacuum, terms)
+
+
+def fock_moment(spec: VectorSpec, word: Word) -> GaussianRational:
+    """Vacuum expectation of the operator word, applied to the vacuum letter
+    by letter from the right."""
+    state = fock_vacuum()
+    for letter in reversed(word):
+        state = fock_step(spec, letter, state)
+    return state.vacuum

@@ -6,12 +6,12 @@ from oracles import free_product_moment, naive_joint_moment
 from util import coprime_dist, rand_dist
 
 from bifree.dist import Distribution, group_families
-from bifree.engine import (TensorState, _apply_step, _dilate, _EvalContext, apply_left,
-                           apply_right, bifree_product, check_bifree, joint_moment,
-                           reduced_vector, vacuum_coefficient, vacuum_state)
+from bifree.engine import (TensorState, _apply_step, _EvalContext, apply_left, apply_right,
+                           bifree_product, check_bifree, joint_moment, reduced_vector,
+                           vacuum_coefficient, vacuum_state)
 from bifree.errors import DomainError, SignatureError, TruncationError
 from bifree.rationals import rat
-from bifree.scalars import ONE, ZERO, GaussianRational, qi
+from bifree.scalars import ONE, ZERO, GaussianRational, _dilate, qi
 from bifree.words import LEFT, RIGHT, FaceSignature, Letter, two_faced
 
 SIG1 = two_faced(left=("a",), right=("c",), family=1)

@@ -105,6 +105,19 @@ def test_undeclared_letter_after_parsed_tokens_names_its_line():
         parse_distribution(text.replace("1.a 1.a : 1", "1.z 1.a : 1"))
 
 
+def test_bad_scalar_after_repeated_good_ones_names_its_line():
+    # scalar texts that parsed are reused on later lines; a bad one is never
+    # stored, so it fails on the line where it occurs, each time it occurs
+    text = ("# family 1 left: a\n# family 1 right: c\n# star: no\n# degree: 2\n"
+            "() : 1\n1.a : 1/2\n1.c : 1/2\n1.a 1.a : 1/2\n1.a 1.c : 1/0\n1.c 1.a : 1/0\n")
+    with pytest.raises(ParseError, match="^line 9: zero denominator in scalar '1/0'"):
+        parse_distribution(text)
+    with pytest.raises(ParseError, match="^line 10: zero denominator in scalar '1/0'"):
+        parse_distribution(text.replace("1.a 1.c : 1/0", "1.a 1.c : 1/2"))
+    good = text.replace(": 1/0", ": 1/2") + "1.c 1.c : 1/2\n"
+    assert set(parse_distribution(good).moments.values()) == {ONE, qi(1, 2)}
+
+
 def test_parse_rejects_duplicates_and_bad_headers():
     with pytest.raises(ParseError):
         parse_distribution(MINIMAL + "1.a : 1/2\n")

@@ -1,6 +1,8 @@
 import itertools
 
+import oracles
 import pytest
+from oracles import annih_left, create_left, fock_apply, fock_vacuum
 from util import rand_dist, rand_scalar
 
 from bifree.cumulant import cumulants_from_moments
@@ -8,10 +10,9 @@ from bifree.engine import check_bifree
 from bifree.errors import DomainError
 from bifree.io import (format_covariance, format_vector_spec, parse_covariance,
                        parse_vector_spec)
-from bifree.models import (CovarianceSpec, VectorSpec, annih_left, covariance_from_vectors,
-                           create_left, fock_apply, fock_distribution, fock_moment,
-                           fock_vacuum, gaussian_dist, gram_psd_check, gram_quadratic_form,
-                           group_example_dist)
+from bifree.models import (CovarianceSpec, VectorSpec, _FockWalk, covariance_from_vectors,
+                           fock_distribution, fock_moment, gaussian_dist, gram_psd_check,
+                           gram_quadratic_form, group_example_dist)
 from bifree.scalars import ONE, ZERO, qi
 from bifree.words import LEFT, RIGHT, FaceSignature, FamilyFaces, Letter, two_faced, word_star
 
@@ -99,7 +100,7 @@ def test_star_distribution_conjugation():
 
 
 def test_fock_distribution_matches_per_word_fock_moment(rng):
-    # the table comes from one suffix-sharing walk, fock_moment applies each
+    # the table comes from one suffix-sharing walk, the oracle applies each
     # word to the vacuum on its own; a walk that extended prefixes instead
     # of suffixes would differ on these non-commuting operators
     sig = FaceSignature(tuple(
@@ -111,7 +112,33 @@ def test_fock_distribution_matches_per_word_fock_moment(rng):
     spec = VectorSpec(sig, 2, h, h_star)
     tab = fock_distribution(spec, 4)
     for word in sig.words(4):
-        assert tab.moment(word) == fock_moment(spec, word)
+        assert tab.moment(word) == oracles.fock_moment(spec, word)
+
+
+def test_fock_walk_matches_oracle_word_by_word():
+    # 1.a and 2.b share their creation vector, given once as a tuple and once
+    # as a list, so they must share one interned id; the denominators 7, 11
+    # and 13 make D large; and 2.b*'s creation vector pairs with 1.a's
+    # annihilation vector to exactly zero through two nonzero terms
+    sig = FaceSignature((FamilyFaces(1, ("a",), (), True), FamilyFaces(2, (), ("b",), True)))
+    a, b = (1, LEFT, "a"), (2, RIGHT, "b")
+    shared = (qi(1, 7), qi(0, 1, 1, 2))
+    h = {a: shared, b: list(shared)}
+    h_star = {a: (qi(0, 1, -1, 11), qi(3, 13)), b: (qi(-33, 91), qi(0, 1, 1, 7))}
+    spec = VectorSpec(sig, 2, h, h_star)
+    walk = _FockWalk(spec)
+    assert len({vid for _, vid, _ in walk.moves.values()}) == 3
+    assert walk.dilation % (7 * 11 * 13) == 0
+    assert covariance_from_vectors(spec).value(Letter(1, LEFT, "a"),
+                                               Letter(2, RIGHT, "b", True)) == ZERO
+    tab = fock_distribution(spec, 5)
+    for word in sig.words(5):
+        expected = oracles.fock_moment(spec, word)
+        assert tab.moment(word) == expected
+        assert fock_moment(spec, word) == expected
+        if len(word) % 2:
+            assert tab.moment(word) == ZERO
+    assert sum(1 for v in tab.moments.values() if v and not v.is_real) > 100
 
 
 def test_fock_equals_gaussian_small():
