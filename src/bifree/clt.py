@@ -9,16 +9,14 @@ The test-suite checks this against the N-fold bi-free product for small N.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import isqrt
 
 from .cumulant import cumulants_from_moments, moments_from_cumulants
 from .dist import CumulantTable, Distribution
 from .errors import DomainError
 from .models import CovarianceSpec, gaussian_dist
-from .rationals import rat
-from .scalars import GaussianRational
-from .scalars import _new as _gr
-from .scalars import decimal_magnitude
+from .scalars import GaussianRational, decimal_magnitude
 from .words import Word, format_word
 
 
@@ -47,7 +45,7 @@ def scaled_sum_dist(mu: Distribution, n: int, degree: int) -> Distribution:
         m = len(word)
         # N^(1 - m/2) = root^(2 - m)
         k = 2 - m
-        factor = _gr(rat(root**k) if k >= 0 else rat(1, root**-k), rat(0))
+        factor = GaussianRational(Fraction(root) ** k)
         scaled[word] = factor * value
     return moments_from_cumulants(CumulantTable(mu.signature, degree, scaled), degree)
 

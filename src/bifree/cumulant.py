@@ -8,6 +8,10 @@ kappa(w|B) times the moments of the gaps that B cuts from the s_chi order,
 every sub-word keeping the positions' original order.  The block B = whole
 word contributes kappa(w) itself, so walking the words in graded order
 solves that one identity for the cumulant or for the moment alike.
+
+Every term of the identity for w has total length |w|, so it holds as well
+for the tables dilated by D^|w| (`scalars.Dilation`): the recursion runs on
+integers and divides once per word.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from functools import lru_cache
 
 from .dist import CumulantTable, Distribution
 from .errors import TruncationError
-from .scalars import ONE, ZERO, GaussianRational
+from .scalars import ONE, Dilation, GaussianRational
 from .words import LEFT, Word
 
 
@@ -43,9 +47,9 @@ def _first_blocks(lefts: tuple[bool, ...]):
     return tuple(out)
 
 
-def _lower_terms(word: Word, kappa, mu) -> GaussianRational:
+def _lower_terms(word: Word, kappa, mu, zero):
     """mu(w) - kappa(w): the first-block sum without the whole-word block."""
-    total = ZERO
+    total = zero
     for block, gaps in _first_blocks(tuple(letter.side == LEFT for letter in word)):
         term = kappa[tuple(word[i] for i in block)]
         for gap in gaps:
@@ -57,17 +61,30 @@ def _lower_terms(word: Word, kappa, mu) -> GaussianRational:
     return total
 
 
+def _solve(signature, degree: int, given: dict,
+           given_moments: bool) -> dict[Word, GaussianRational]:
+    """Cumulants from the moments `given` (`given_moments`), or moments from
+    the cumulants `given`, of the nonempty words up to `degree`, on both
+    tables dilated by D^|w|; each word is divided once at the end."""
+    words = [w for w in signature.words(degree) if w]
+    dil = Dilation(given[w] for w in words)
+    powers = [dil.dilation**k for k in range(degree + 1)]
+    known = {w: dil.dilated(given[w], powers[len(w)]) for w in words}
+    solved: dict = {}
+    kappa, mu = (solved, known) if given_moments else (known, solved)
+    for w in words:
+        lower = _lower_terms(w, kappa, mu, dil.zero)
+        solved[w] = known[w] - lower if given_moments else known[w] + lower
+    return {w: dil.scalar(v, powers[len(w)]) for w, v in solved.items()}
+
+
 def cumulants_from_moments(mu: Distribution, degree: int) -> CumulantTable:
     """All cumulants of words up to `degree`."""
     if mu.degree < degree:
         raise TruncationError(
             f"cumulants at degree {degree} need moments at that degree"
         )
-    kappa: dict[Word, GaussianRational] = {}
-    for word in mu.signature.words(degree):
-        if word:
-            kappa[word] = mu.moments[word] - _lower_terms(word, kappa, mu.moments)
-    return CumulantTable(mu.signature, degree, kappa)
+    return CumulantTable(mu.signature, degree, _solve(mu.signature, degree, mu.moments, True))
 
 
 def moments_from_cumulants(table: CumulantTable, degree: int) -> Distribution:
@@ -76,11 +93,8 @@ def moments_from_cumulants(table: CumulantTable, degree: int) -> Distribution:
         raise TruncationError(
             f"moments at degree {degree} need cumulants at that degree"
         )
-    mu: dict[Word, GaussianRational] = {(): ONE}
-    for word in table.signature.words(degree):
-        if word:
-            mu[word] = table.values[word] + _lower_terms(word, table.values, mu)
-    return Distribution(table.signature, degree, mu)
+    return Distribution(table.signature, degree,
+                        {(): ONE, **_solve(table.signature, degree, table.values, False)})
 
 
 def dilate(mu: Distribution, s: GaussianRational) -> Distribution:

@@ -29,9 +29,7 @@ from typing import Mapping, Sequence
 
 from .dist import Distribution, tabulate
 from .errors import DomainError, SignatureError, TruncationError
-from .rationals import RAT_ZERO
 from .scalars import ONE, ZERO, Dilation, GaussianRational
-from .scalars import _new as _gr
 from .words import (LEFT, RIGHT, FaceSignature, Letter, Word, format_word,
                     union_signatures)
 
@@ -286,7 +284,7 @@ def _decode_state(encoded: dict, real: bool) -> TensorState:
     vacuum = ZERO
     terms: dict[TensorWord, GaussianRational] = {}
     for key, value in encoded.items():
-        scalar = _gr(value, RAT_ZERO) if real else value
+        scalar = GaussianRational(value) if real else value
         if key == ():
             vacuum = scalar
         else:

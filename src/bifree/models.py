@@ -135,7 +135,9 @@ def fock_moment(spec: VectorSpec, word: Word) -> GaussianRational:
 
     A left-face letter acts as creation plus annihilation on the leading
     tensor slot, a right-face letter on the trailing slot; a starred letter
-    swaps its creation and annihilation vectors.
+    swaps its creation and annihilation vectors.  Each call builds the
+    whole walk, about 1 ms a word on a 6-letter spec, so code that tabulates
+    many words should call `fock_distribution`.
     """
     for letter in word:
         spec.signature.validate_letter(letter)
@@ -246,7 +248,8 @@ def gram_psd_check(mu: Distribution, degree: int) -> PsdResult:
     gram = [[moments[u + w] for w in basis] for u in map(_involution(mu.signature), basis)]
     for i in range(n):
         for j in range(i, n):
-            if gram[i][j] != gram[j][i].conjugate():
+            x, y = gram[i][j], gram[j][i]
+            if x.re != y.re or x.im != -y.im:
                 raise DomainError(
                     "moment table is not compatible with the involution: "
                     f"Gram matrix not hermitian at ({format_word(basis[i])}, "

@@ -1,9 +1,9 @@
 """Gaussian rational scalars: exact values a + b*i with rational a, b.
 
 All scalar values in the library are of this type; no floats anywhere.
-The components are gcd-reduced rationals with positive denominator, which
-the rational backend guarantees.  `Dilation` scales a set of them onto the
-integers for the kernels that run on ints (the engine and the Fock walk).
+The components are gcd-reduced `Fraction`s with positive denominator.
+`Dilation` scales a set of them onto the integers for the kernels that run
+on ints (the engine, the Fock walk and the cumulant recursion).
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from math import isqrt, lcm
 from numbers import Rational
 
 from .errors import ParseError
-from .rationals import RAT_ZERO, Rat, rat
+
+_Q0 = Fraction(0)
 
 
 def _new(re, im) -> GaussianRational:
@@ -30,8 +31,8 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is type(RAT_ZERO) else Rat(re)
-        self.im = im if type(im) is type(RAT_ZERO) else Rat(im)
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
@@ -140,7 +141,7 @@ def _coerce(value):
     if isinstance(value, GaussianRational):
         return value
     if isinstance(value, (int, Rational)):
-        return _new(Rat(value), RAT_ZERO)
+        return _new(Fraction(value), _Q0)
     return None
 
 
@@ -151,7 +152,8 @@ class Dilation:
     `values`.  A dilated value is an int when every one of `values` is real,
     a GaussianRational with int components otherwise; `one` and `zero` are
     of that type.  Sums and products of dilated values stay integers, so a
-    kernel can run on them and divide once at the end with `scalar`.
+    kernel can run on them and divide once at the end with `scalar`: the
+    engine, the Fock walk and the cumulant recursion do.
     """
 
     def __init__(self, values):
@@ -170,21 +172,21 @@ class Dilation:
     def scalar(self, value, scale: int) -> GaussianRational:
         """The value whose dilation by `scale` is the integer `value`."""
         if self.real:
-            return _new(rat(value, scale), RAT_ZERO)
-        return _new(rat(value.re, scale), rat(value.im, scale))
+            return _new(Fraction(value, scale), _Q0)
+        return _new(Fraction(value.re, scale), Fraction(value.im, scale))
 
 
 def _dilate(q, scale: int) -> int:
     """scale*q as an int; `scale` is a multiple of q's denominator by construction."""
-    whole, rest = divmod(scale, int(q.denominator))
+    whole, rest = divmod(scale, q.denominator)
     if rest:
         raise ArithmeticError(f"dilation by {scale} leaves {q} non-integral")
-    return int(q.numerator) * whole
+    return q.numerator * whole
 
 
 def qi(re_num, re_den=1, im_num=0, im_den=1) -> GaussianRational:
     """Shorthand constructor from integer components."""
-    return _new(Rat(re_num, re_den), Rat(im_num, im_den))
+    return _new(Fraction(re_num, re_den), Fraction(im_num, im_den))
 
 
 _RAT = r"-?\d+(?:/\d+)?"
@@ -198,8 +200,8 @@ def _parse_rat(text: str):
         num, den = text.split("/")
         if int(den) == 0:
             raise ZeroDivisionError
-        return Rat(int(num), int(den))
-    return Rat(int(text))
+        return Fraction(int(num), int(den))
+    return Fraction(int(text))
 
 
 def parse_scalar(text: str) -> GaussianRational:
@@ -209,10 +211,10 @@ def parse_scalar(text: str) -> GaussianRational:
         raise ParseError(f"malformed scalar {text!r}")
     try:
         if m.group("imonly") is not None:
-            return _new(RAT_ZERO, _parse_rat(m.group("imonly")))
+            return _new(_Q0, _parse_rat(m.group("imonly")))
         re_part = _parse_rat(m.group("re"))
         if m.group("im") is None:
-            return _new(re_part, RAT_ZERO)
+            return _new(re_part, _Q0)
         im_part = _parse_rat(m.group("im"))
         if m.group("sign") == "-":
             im_part = -im_part
@@ -242,7 +244,6 @@ def decimal_magnitude(value: GaussianRational, digits: int = 12) -> str:
         scaled = num * scale // den
     else:
         mag2 = re_ * re_ + im * im
-        f = Fraction(int(mag2.numerator), int(mag2.denominator))
-        scaled = isqrt(f.numerator * scale * scale // f.denominator)
+        scaled = isqrt(mag2.numerator * scale * scale // mag2.denominator)
     whole, frac = divmod(scaled, scale)
     return f"{whole}.{frac:0{digits}d}"

@@ -2,11 +2,13 @@ import pytest
 from util import rand_dist
 
 from bifree.cli import main
+from bifree.dist import Distribution
+from bifree.errors import DomainError
 from bifree.io import (format_covariance, format_distribution, format_vector_spec,
                        parse_distribution)
-from bifree.models import CovarianceSpec, VectorSpec
+from bifree.models import CovarianceSpec, VectorSpec, gram_psd_check
 from bifree.scalars import ONE, ZERO, qi
-from bifree.words import LEFT, RIGHT, Letter, two_faced
+from bifree.words import LEFT, RIGHT, Letter, format_word, two_faced
 
 SIG = two_faced(left=("a",), right=("c",), family=1)
 A = Letter(1, LEFT, "a")
@@ -102,6 +104,25 @@ def test_psd_check_indefinite_exit(tmp_path, capsys):
     assert main(["gaussian", "--cov", str(cov_path), "--degree", "4", "--out", str(g)]) == 0
     assert main(["psd-check", "--in", str(g), "--degree", "4"]) == 1
     assert "witness" in capsys.readouterr().out
+
+
+def test_psd_check_refuses_a_non_hermitian_table(tmp_path, capsys):
+    # With reversal as involution the Gram entries at (a, c) and (c, a) are
+    # mu(ac) and mu(ca), which a hermitian form needs to be conjugate.
+    for ac, ca in ((ONE, qi(2)), (qi(0, 1, 1), qi(0, 1, 1))):
+        moments = {w: ZERO for w in SIG.words(2)}
+        moments[()] = ONE
+        moments[(A, C)] = ac
+        moments[(C, A)] = ca
+        mu = Distribution(SIG, 2, moments)
+        with pytest.raises(DomainError, match="not hermitian") as refusal:
+            gram_psd_check(mu, 2)
+        assert format_word((A,)) in str(refusal.value)
+        assert format_word((C,)) in str(refusal.value)
+        path = tmp_path / "mu.dist"
+        path.write_text(format_distribution(mu))
+        assert main(["psd-check", "--in", str(path)]) == 2
+        assert "not hermitian" in capsys.readouterr().err
 
 
 def test_fock_compare(tmp_path):

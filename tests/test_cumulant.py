@@ -3,7 +3,7 @@ import itertools
 import pytest
 from oracles import (ConvolutionPowerCache, free_cumulant_oracle, linear_coefficient,
                      power_cumulants, power_moments)
-from util import rand_dist, rand_scalar
+from util import coprime_dist, rand_dist, rand_scalar
 
 from bifree.convolve import boxplus2
 from bifree.cumulant import cumulants_from_moments, dilate, moments_from_cumulants
@@ -28,10 +28,13 @@ def test_power_cache_invariants(rng):
 
 def test_recursion_matches_convolution_power_oracle(rng):
     sig = FaceSignature((FamilyFaces(1, ("a",), ("c",)), FamilyFaces(2, (), ("d",))))
-    mu = rand_dist(sig, 5, rng, with_imag=True)
-    table = cumulants_from_moments(mu, 5)
-    assert table == power_cumulants(mu, 5)
-    assert moments_from_cumulants(table, 5) == power_moments(table, 5) == mu
+    for mu in (rand_dist(sig, 5, rng, with_imag=True), coprime_dist(sig, 5, rng, 7, 11)):
+        table = cumulants_from_moments(mu, 5)
+        assert table == power_cumulants(mu, 5)
+        assert moments_from_cumulants(table, 5) == power_moments(table, 5) == mu
+    # D comes only from the words up to the requested degree.
+    cut = Distribution(sig, 2, {w: v for w, v in mu.moments.items() if len(w) <= 2})
+    assert cumulants_from_moments(mu, 2) == cumulants_from_moments(cut, 2)
 
 
 def test_mixed_family_cumulants_of_product_vanish(rng):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from oracles import free_product_moment, naive_joint_moment
@@ -10,7 +11,6 @@ from bifree.engine import (TensorState, _apply_step, _EvalContext, apply_left, a
                            bifree_product, check_bifree, joint_moment, reduced_vector,
                            vacuum_coefficient, vacuum_state)
 from bifree.errors import DomainError, SignatureError, TruncationError
-from bifree.rationals import rat
 from bifree.scalars import ONE, ZERO, GaussianRational, _dilate, qi
 from bifree.words import LEFT, RIGHT, FaceSignature, Letter, two_faced
 
@@ -398,6 +398,6 @@ def test_dilated_tables_hold_integers(rng):
 
 
 def test_dilation_refuses_a_non_integral_entry():
-    assert _dilate(rat(-2, 3), 6) == -4
+    assert _dilate(Fraction(-2, 3), 6) == -4
     with pytest.raises(ArithmeticError):
-        _dilate(rat(1, 3), 4)
+        _dilate(Fraction(1, 3), 4)
