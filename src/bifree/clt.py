@@ -35,19 +35,22 @@ def _square_root(n: int) -> int:
     return isqrt(n)
 
 
+def _scaled_sum(cumulants: CumulantTable, root: int) -> Distribution:
+    """Moments of the scaled sum from the cumulants of one copy; N = root^2."""
+    scaled = {}
+    for word, value in cumulants.values.items():
+        # N^(1 - m/2) = root^(2 - m)
+        factor = GaussianRational(Fraction(root) ** (2 - len(word)))
+        scaled[word] = factor * value
+    table = CumulantTable(cumulants.signature, cumulants.degree, scaled)
+    return moments_from_cumulants(table, cumulants.degree)
+
+
 def scaled_sum_dist(mu: Distribution, n: int, degree: int) -> Distribution:
     """Distribution of N^(-1/2) times the sum of N bi-free copies of mu."""
     _require_centered(mu)
     root = _square_root(n)
-    cumulants = cumulants_from_moments(mu, degree)
-    scaled = {}
-    for word, value in cumulants.values.items():
-        m = len(word)
-        # N^(1 - m/2) = root^(2 - m)
-        k = 2 - m
-        factor = GaussianRational(Fraction(root) ** k)
-        scaled[word] = factor * value
-    return moments_from_cumulants(CumulantTable(mu.signature, degree, scaled), degree)
+    return _scaled_sum(cumulants_from_moments(mu, degree), root)
 
 
 @dataclass
@@ -95,8 +98,7 @@ def clt_report(mu: Distribution, ns, degree: int) -> CltReport:
     """
     _require_centered(mu)
     ns = tuple(ns)
-    for n in ns:
-        _square_root(n)
+    roots = [_square_root(n) for n in ns]
     alphabet = mu.signature.letters()
     cov = CovarianceSpec(
         mu.signature, {(u, v): mu.moment((u, v)) for u in alphabet for v in alphabet}
@@ -104,8 +106,10 @@ def clt_report(mu: Distribution, ns, degree: int) -> CltReport:
     limit = gaussian_dist(cov, degree)
     rows: list[CltRow] = []
     errors: dict[Word, dict[int, GaussianRational]] = {}
-    for n in ns:
-        s_n = scaled_sum_dist(mu, n, degree)
+    # the transform refuses a degree past mu's, which an empty N list never needs
+    cumulants = cumulants_from_moments(mu, degree) if ns else None
+    for n, root in zip(ns, roots):
+        s_n = _scaled_sum(cumulants, root)
         for word in mu.signature.words(degree):
             error = s_n.moment(word) - limit.moment(word)
             rows.append(CltRow(word, n, s_n.moment(word), limit.moment(word), error))

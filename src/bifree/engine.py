@@ -8,8 +8,12 @@ inside their constituent's algebra, and means are split off lazily against
 the constituent's moment table.
 
 Internally a state is a dict mapping tensor keys to scalars.  A key is a
-tuple of (tag, word) blocks with adjacent tags distinct; the block (t, w)
-stands for the centered element w - mu_t(w)*1 of constituent t's kernel.
+tuple of int block ids with adjacent tags distinct; block id b stands for
+the centered element w - mu_t(w)*1 of constituent t's kernel, where
+(t, w) = (tag[b], word[b]) in the registry `_Blocks`.  Each block gets its
+id when it is first reached, together with its moment and, per acting
+letter, the id of the block that letter grows it into, so a step reads
+moments and grown blocks by index instead of building and hashing words.
 Multilinearity pushes every linear combination to the outer dict, which is
 what makes term merging effective.
 
@@ -132,36 +136,81 @@ def _check_alternation(blocks: TensorWord) -> None:
 # ---------------------------------------------------------------------------
 # The single transition shared by the public and the table-building paths.
 #
-# State keys are tuples of (tag, word) with word a tuple of opaque letters;
-# values support +, *, unary - and truthiness (a bare int, a GaussianRational
-# with int components, or, in apply_left/apply_right, a rational or a
-# GaussianRational).  A summand (is_left, tag, a, m_a) carries the acting
-# letter's own first moment; `tables[tag]` resolves every other moment.  A
-# missing table entry can only mean a word past the degree bound, reported
+# State keys are tuples of block ids from one `_Blocks` registry; values
+# support +, *, unary - and truthiness (a bare int, a GaussianRational with
+# int components, or, in apply_left/apply_right, a rational or a
+# GaussianRational).  A summand (is_left, tag, a, m_a, single) carries the
+# acting letter a, its own first moment m_a and the id `single` of the
+# one-letter block (tag, (a,)); the registry resolves every other moment
+# and grown block.  A block's word is built only when `_Blocks.grow` first
+# creates it, which is where a word past the degree bound is reported
 # through `on_missing`.
 
 
-def _apply_step(state: dict, summands, tables, on_missing) -> dict:
+_MISSING = object()
+
+
+class _Blocks:
+    """Tensor blocks (tag, word) interned as int ids in order of first reach.
+
+    `tag[b]`, `word[b]` and `moment[b]` describe block b; `moment[b]` is
+    `tables[tag][word]`, or `_MISSING` for a word no table holds (a
+    caller's block past the degree bound, or of a family without a table).
+    `child[(b, a)]` is the block (tag[b], (a,) + word[b]).
+    """
+
+    __slots__ = ("tables", "on_missing", "tag", "word", "moment", "child", "ids")
+
+    def __init__(self, tables, on_missing):
+        self.tables = tables
+        self.on_missing = on_missing
+        self.tag: list = []
+        self.word: list = []
+        self.moment: list = []
+        self.child: dict = {}
+        self.ids: dict = {}
+
+    def intern(self, tag, word, moment) -> int:
+        block = self.ids.get((tag, word))
+        if block is None:
+            block = self.ids[(tag, word)] = len(self.tag)
+            self.tag.append(tag)
+            self.word.append(word)
+            self.moment.append(moment)
+        return block
+
+    def grow(self, head: int, a) -> int:
+        tag = self.tag[head]
+        word = (a,) + self.word[head]
+        moment = self.tables[tag].get(word, _MISSING)
+        if moment is _MISSING:
+            self.on_missing(tag, word)
+        block = self.child[(head, a)] = self.intern(tag, word, moment)
+        return block
+
+
+def _apply_step(state: dict, summands, blocks: _Blocks) -> dict:
+    tags = blocks.tag
+    moments = blocks.moment
+    child = blocks.child
     out: dict = {}
     for key, c in state.items():
-        for is_left, tag, a, m_a in summands:
+        for is_left, tag, a, m_a, single in summands:
             if key:
                 head = key[0] if is_left else key[-1]
-                if head[0] == tag:
-                    w0 = head[1]
-                    aw = (a,) + w0
-                    tbl = tables[tag]
-                    m_aw = tbl.get(aw, _MISSING)
-                    if m_aw is _MISSING:
-                        on_missing(tag, aw)
+                if tags[head] == tag:
+                    aw = child.get((head, a))
+                    if aw is None:
+                        aw = blocks.grow(head, a)
                     rest = key[1:] if is_left else key[:-1]
-                    grown = ((tag, aw),) + rest if is_left else rest + ((tag, aw),)
+                    grown = (aw,) + rest if is_left else rest + (aw,)
                     acc = out.get(grown)
                     out[grown] = c if acc is None else acc + c
-                    m_w0 = tbl[w0]
+                    m_aw = moments[aw]
+                    m_w0 = moments[head]
                     if m_w0:
                         v = c * m_w0
-                        short = ((tag, (a,)),) + rest if is_left else rest + ((tag, (a,)),)
+                        short = (single,) + rest if is_left else rest + (single,)
                         acc = out.get(short)
                         out[short] = -v if acc is None else acc - v
                         drop = m_aw - m_w0 * m_a
@@ -176,7 +225,7 @@ def _apply_step(state: dict, summands, tables, on_missing) -> dict:
                 v = c * m_a
                 acc = out.get(key)
                 out[key] = v if acc is None else acc + v
-            longer = ((tag, (a,)),) + key if is_left else key + ((tag, (a,)),)
+            longer = (single,) + key if is_left else key + (single,)
             acc = out.get(longer)
             out[longer] = c if acc is None else acc + c
     return {k: v for k, v in out.items() if v}
@@ -195,7 +244,8 @@ class _EvalContext(Dilation):
     a GaussianRational with int components otherwise.  `_apply_step` only
     adds, multiplies and negates, and every summand it forms carries the same
     power of D, so a vacuum coefficient computed from these tables is the
-    dilated moment; `scalar` divides it by its scale.
+    dilated moment; `scalar` divides it by its scale.  `blocks` interns the
+    tensor blocks over these tables for every walk of the context.
     """
 
     def __init__(self, constituents: Sequence[Distribution]):
@@ -217,6 +267,7 @@ class _EvalContext(Dilation):
             self.letter_ids.append(ids)
             self.tables.append(table)
             self.degrees.append(dist.degree)
+        self.blocks = _Blocks(self.tables, self.on_missing)
 
     def on_missing(self, tag: int, word) -> None:
         decoded = tuple(self.letters[tag][i] for i in word)
@@ -226,17 +277,16 @@ class _EvalContext(Dilation):
         )
 
     def summand(self, is_left: bool, tag: int, letter_id: int):
-        return (is_left, tag, letter_id, self.tables[tag][(letter_id,)])
-
-
-_MISSING = object()
+        word = (letter_id,)
+        moment = self.tables[tag][word]
+        return (is_left, tag, letter_id, moment, self.blocks.intern(tag, word, moment))
 
 
 def _eval_steps(ctx: _EvalContext, steps: Sequence) -> GaussianRational:
     """Vacuum coefficient of (product of step operators) applied to the unit."""
     state = {(): ctx.one}
     for step in reversed(steps):
-        state = _apply_step(state, step, ctx.tables, ctx.on_missing)
+        state = _apply_step(state, step, ctx.blocks)
     return ctx.scalar(state.get((), ctx.zero), ctx.dilation ** len(steps))
 
 
@@ -250,15 +300,14 @@ def _build_table(ctx: _EvalContext, signature: FaceSignature,
     D, so the walk carries beside each state its scale, the product of
     D^len(letter_steps[letter]) over the word's letters.
     """
-    tables = ctx.tables
-    on_missing = ctx.on_missing
+    blocks = ctx.blocks
     zero = ctx.zero
     growth = {letter: ctx.dilation ** len(steps) for letter, steps in letter_steps.items()}
 
     def step(letter, carried):
         state, scale = carried
         for s in reversed(letter_steps[letter]):
-            state = _apply_step(state, s, tables, on_missing)
+            state = _apply_step(state, s, blocks)
         return state, scale * growth[letter]
 
     return tabulate(signature, degree, ({(): ctx.one}, 1), step,
@@ -269,18 +318,23 @@ def _build_table(ctx: _EvalContext, signature: FaceSignature,
 # Public operations
 
 
-def _encode_state(state: TensorState, real: bool):
+def _encode_state(state: TensorState, real: bool, blocks: _Blocks) -> dict:
     canonical = state.canonical()
     encoded: dict = {}
     if canonical.vacuum:
         encoded[()] = canonical.vacuum.re if real else canonical.vacuum
-    for blocks, coeff in canonical.terms.items():
-        key = tuple((b.family, b.combo[0][0]) for b in blocks)
-        encoded[key] = coeff.re if real else coeff
+    for key, coeff in canonical.terms.items():
+        ids = []
+        for b in key:
+            word = b.combo[0][0]
+            # a block of a family without a table is never grown or read
+            moment = blocks.tables.get(b.family, {}).get(word, _MISSING)
+            ids.append(blocks.intern(b.family, word, moment))
+        encoded[tuple(ids)] = coeff.re if real else coeff
     return encoded
 
 
-def _decode_state(encoded: dict, real: bool) -> TensorState:
+def _decode_state(encoded: dict, real: bool, blocks: _Blocks) -> TensorState:
     vacuum = ZERO
     terms: dict[TensorWord, GaussianRational] = {}
     for key, value in encoded.items():
@@ -288,8 +342,8 @@ def _decode_state(encoded: dict, real: bool) -> TensorState:
         if key == ():
             vacuum = scalar
         else:
-            blocks = tuple(reduced_vector(f, {w: ONE}) for f, w in key)
-            terms[blocks] = scalar
+            decoded = tuple(reduced_vector(blocks.tag[b], {blocks.word[b]: ONE}) for b in key)
+            terms[decoded] = scalar
     return TensorState(vacuum, terms)
 
 
@@ -307,7 +361,6 @@ def _apply_side(is_left: bool, family, letter: Letter, state: TensorState,
         table = {w: v.re for w, v in marginal.moments.items()}
     else:
         table = dict(marginal.moments)
-    tables = {family: table}
 
     def on_missing(tag, word):
         raise TruncationError(
@@ -315,13 +368,13 @@ def _apply_side(is_left: bool, family, letter: Letter, state: TensorState,
             f"{marginal.degree}"
         )
 
-    encoded = _encode_state(state, real)
-    summand = (is_left, family, letter, table[(letter,)])
-    encoded = _apply_step(encoded, (summand,), tables, on_missing)
-    result = _decode_state(encoded, real)
-    for blocks in result.terms:
-        _check_alternation(blocks)
-    return result
+    blocks = _Blocks({family: table}, on_missing)
+    encoded = _encode_state(state, real, blocks)
+    m_a = table[(letter,)]
+    summand = (is_left, family, letter, m_a, blocks.intern(family, (letter,), m_a))
+    encoded = _apply_step(encoded, (summand,), blocks)
+    # TensorState checks that adjacent blocks of the result alternate
+    return _decode_state(encoded, real, blocks)
 
 
 def apply_left(family, letter: Letter, state: TensorState,

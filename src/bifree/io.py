@@ -222,18 +222,25 @@ def _emit_headers(signature: FaceSignature, kind: str | None, *extra: str) -> li
     return lines
 
 
+def _word_texts(signature: FaceSignature, degree: int):
+    """(word, format_word(word)) in emission order, each letter formatted once."""
+    texts = {letter: format_letter(letter) for letter in signature.letters()}
+    for word in signature.words(degree):
+        yield word, " ".join([texts[letter] for letter in word]) if word else "()"
+
+
 def format_distribution(dist: Distribution) -> str:
     lines = _emit_headers(dist.signature, None, f"# degree: {dist.degree}")
-    for word in dist.signature.words(dist.degree):
-        lines.append(f"{format_word(word)} : {format_scalar(dist.moments[word])}")
+    for word, text in _word_texts(dist.signature, dist.degree):
+        lines.append(f"{text} : {format_scalar(dist.moments[word])}")
     return "\n".join(lines) + "\n"
 
 
 def format_cumulant_table(table: CumulantTable) -> str:
     lines = _emit_headers(table.signature, "cumulants", f"# degree: {table.degree}")
-    for word in table.signature.words(table.degree):
+    for word, text in _word_texts(table.signature, table.degree):
         if word:
-            lines.append(f"{format_word(word)} : {format_scalar(table.values[word])}")
+            lines.append(f"{text} : {format_scalar(table.values[word])}")
     return "\n".join(lines) + "\n"
 
 

@@ -2,7 +2,8 @@ import pytest
 from oracles import scaled_sum_dist_direct
 from util import rand_dist
 
-from bifree.clt import clt_report, scaled_sum_dist
+import bifree.clt
+from bifree.clt import CltReport, CltRow, clt_report, scaled_sum_dist
 from bifree.dist import Distribution
 from bifree.errors import DomainError
 from bifree.models import CovarianceSpec, gaussian_dist, gram_psd_check
@@ -109,3 +110,31 @@ def test_csv_output_shape():
     assert lines[0] == "word,N,moment,gaussian,error,abs_error"
     assert len(lines) == 1 + len(list(SIG.words(2)))
     assert '"()"' in lines[1]
+
+
+def test_report_transforms_once_and_matches_per_n_scaled_sums(rng, monkeypatch):
+    sig = two_faced(left=("a",), right=("c",), family=1)
+    mu = rand_dist(sig, 4, rng, centered=True, with_imag=True)
+    ns = (4, 16, 64)
+    # the report as one scaled_sum_dist per N gives it, each with its own transform
+    cov = CovarianceSpec(sig, {(u, v): mu.moment((u, v))
+                               for u in sig.letters() for v in sig.letters()})
+    limit = gaussian_dist(cov, 4)
+    rows = []
+    for n in ns:
+        s_n = scaled_sum_dist(mu, n, 4)
+        for word in sig.words(4):
+            error = s_n.moment(word) - limit.moment(word)
+            rows.append(CltRow(word, n, s_n.moment(word), limit.moment(word), error))
+    expected = CltReport(4, ns, rows, False).to_csv()
+
+    calls = []
+    transform = bifree.clt.cumulants_from_moments
+
+    def counted(*args):
+        calls.append(args)
+        return transform(*args)
+
+    monkeypatch.setattr(bifree.clt, "cumulants_from_moments", counted)
+    assert clt_report(mu, ns, 4).to_csv() == expected
+    assert len(calls) == 1

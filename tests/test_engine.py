@@ -7,12 +7,13 @@ from oracles import free_product_moment, naive_joint_moment
 from util import coprime_dist, rand_dist
 
 from bifree.dist import Distribution, group_families
-from bifree.engine import (TensorState, _apply_step, _EvalContext, apply_left, apply_right,
-                           bifree_product, check_bifree, joint_moment, reduced_vector,
-                           vacuum_coefficient, vacuum_state)
+from bifree.engine import (TensorState, _apply_step, _build_table, _EvalContext, apply_left,
+                           apply_right, bifree_product, check_bifree, joint_moment,
+                           reduced_vector, vacuum_coefficient, vacuum_state)
 from bifree.errors import DomainError, SignatureError, TruncationError
+from bifree.io import format_distribution
 from bifree.scalars import ONE, ZERO, GaussianRational, _dilate, qi
-from bifree.words import LEFT, RIGHT, FaceSignature, Letter, two_faced
+from bifree.words import LEFT, RIGHT, FaceSignature, Letter, two_faced, union_signatures
 
 SIG1 = two_faced(left=("a",), right=("c",), family=1)
 SIG2 = two_faced(left=("a",), right=("c",), family=2)
@@ -392,7 +393,7 @@ def test_dilated_tables_hold_integers(rng):
     state = {(): ctx.one}
     for is_left, tag in ((True, 0), (False, 1), (True, 0), (False, 0), (True, 2)):
         step = (ctx.summand(is_left, tag, 0 if is_left else 1),)
-        state = _apply_step(state, step, ctx.tables, ctx.on_missing)
+        state = _apply_step(state, step, ctx.blocks)
         assert state
         assert all(type(v.re) is int and type(v.im) is int for v in state.values())
 
@@ -401,3 +402,41 @@ def test_dilation_refuses_a_non_integral_entry():
     assert _dilate(Fraction(-2, 3), 6) == -4
     with pytest.raises(ArithmeticError):
         _dilate(Fraction(1, 3), 4)
+
+
+# ---------------------------------------------------------------------------
+# interned tensor blocks
+
+
+def _product_build(mus, degree):
+    # the table build of bifree_product, keeping the context for its registry
+    ctx = _EvalContext(mus)
+    letter_steps = {
+        letter: ((ctx.summand(letter.side == LEFT, tag, ctx.letter_ids[tag][letter]),),)
+        for tag, mu in enumerate(mus) for letter in mu.signature.letters()
+    }
+    signature = union_signatures([mu.signature for mu in mus])
+    return _build_table(ctx, signature, letter_steps, degree), ctx.blocks
+
+
+def test_block_ids_are_deterministic(rng):
+    mus = _coprime_marginals(rng, 4)
+    first, first_blocks = _product_build(mus, 4)
+    second, second_blocks = _product_build(mus, 4)
+    id_map = list(zip(first_blocks.tag, first_blocks.word))
+    assert id_map == list(zip(second_blocks.tag, second_blocks.word))
+    # every block is interned once, and every grown block is a real table word
+    assert len(set(id_map)) == len(id_map) > len(mus)
+    tables = _EvalContext(mus).tables
+    assert all(word in tables[tag] for tag, word in id_map)
+    assert format_distribution(first) == format_distribution(second)
+    assert format_distribution(first) == format_distribution(bifree_product(mus, 4))
+
+
+def test_joint_moment_past_the_degree_names_the_word(rng):
+    # family 1's letters of the joint word a c2 c a spell a c a, one past
+    # its marginal's degree; the error names it when that block is first grown
+    marginals = {1: rand_dist(SIG1, 2, rng), 2: rand_dist(SIG2, 2, rng)}
+    assert joint_moment(marginals, (A1, C2, A1)) == naive_joint_moment(marginals, (A1, C2, A1))
+    with pytest.raises(TruncationError, match=r"word 1\.a 1\.c 1\.a exceeds degree bound 2"):
+        joint_moment(marginals, (A1, C2, C1, A1))

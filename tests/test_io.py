@@ -9,8 +9,8 @@ from bifree.errors import (DomainError, IncompleteTableError, NormalizationError
                            ParseError)
 from bifree.io import (format_cumulant_table, format_distribution,
                        parse_cumulant_table, parse_distribution)
-from bifree.scalars import ONE, GaussianRational, qi
-from bifree.words import LEFT, RIGHT, Letter, two_faced
+from bifree.scalars import ONE, GaussianRational, format_scalar, qi
+from bifree.words import LEFT, RIGHT, FaceSignature, Letter, format_word, two_faced
 
 MINIMAL = """\
 # family 1 left: a
@@ -42,6 +42,22 @@ def test_structurally_equal_tables_emit_identical_bytes(rng):
     clone = Distribution(sig, 2, dict(reversed(list(dist.moments.items()))))
     assert clone == dist
     assert format_distribution(clone) == format_distribution(dist)
+
+
+def test_emitted_words_match_format_word_line_by_line(rng):
+    # two star-closed families, several indices per face, complex values:
+    # the cached letter texts must give format_word's text on every line
+    sig = FaceSignature(
+        two_faced(left=("a", "b"), right=("c",), family=1, star=True).families
+        + two_faced(left=("x",), right=("y", "z"), family="g2", star=True).families
+    )
+    dist = rand_dist(sig, 3, rng, with_imag=True)
+    cumulants = cumulants_from_moments(dist, 3)
+    for text, table, with_empty in ((format_distribution(dist), dist.moments, True),
+                                    (format_cumulant_table(cumulants), cumulants.values, False)):
+        body = [line for line in text.splitlines() if not line.startswith("#")]
+        words = [w for w in sig.words(3) if w or with_empty]
+        assert body == [f"{format_word(w)} : {format_scalar(table[w])}" for w in words]
 
 
 def test_cumulant_table_round_trip(rng):
