@@ -8,9 +8,9 @@ from .convolve import boxplus2, boxtimes2
 from .cumulant import cumulants_from_moments, dilate, moments_from_cumulants
 from .dist import (CumulantTable, Distribution, group_families, ones_distribution,
                    point_distribution)
-from .engine import (BifreenessReport, ReducedVector, TensorState, apply_left,
-                     apply_right, bifree_product, check_bifree, joint_moment,
-                     reduced_vector, vacuum_coefficient, vacuum_state)
+from .engine import (BifreenessReport, TensorState, apply_left, apply_right,
+                     bifree_product, check_bifree, joint_moment, vacuum_coefficient,
+                     vacuum_state)
 from .errors import (BifreeError, DomainError, IncompleteTableError, InvolutionError,
                      NormalizationError, ParseError, SignatureError, TruncationError)
 from .io import (format_cumulant_table, format_distribution, parse_covariance,

@@ -14,7 +14,6 @@ from __future__ import annotations
 from .dist import Distribution
 from .engine import _build_table, _EvalContext
 from .errors import SignatureError, TruncationError
-from .words import LEFT
 
 
 def _check_pair(mu: Distribution, nu: Distribution, degree: int) -> None:
@@ -31,10 +30,7 @@ def boxplus2(mu: Distribution, nu: Distribution, degree: int) -> Distribution:
     _check_pair(mu, nu, degree)
     ctx = _EvalContext([mu, nu])
     letter_steps = {
-        letter: ((
-            ctx.summand(letter.side == LEFT, 0, ctx.letter_ids[0][letter]),
-            ctx.summand(letter.side == LEFT, 1, ctx.letter_ids[1][letter]),
-        ),)
+        letter: ((ctx.summand(0, letter), ctx.summand(1, letter)),)
         for letter in mu.signature.letters()
     }
     return _build_table(ctx, mu.signature, letter_steps, degree)
@@ -49,10 +45,7 @@ def boxtimes2(mu: Distribution, nu: Distribution, degree: int) -> Distribution:
     _check_pair(mu, nu, degree)
     ctx = _EvalContext([mu, nu])
     letter_steps = {
-        letter: (
-            (ctx.summand(letter.side == LEFT, 0, ctx.letter_ids[0][letter]),),
-            (ctx.summand(letter.side == LEFT, 1, ctx.letter_ids[1][letter]),),
-        )
+        letter: ((ctx.summand(0, letter),), (ctx.summand(1, letter),))
         for letter in mu.signature.letters()
     }
     return _build_table(ctx, mu.signature, letter_steps, degree)

@@ -22,8 +22,12 @@ scaled by D, the lcm of all denominators in the constituents' moment
 tables, so the moment of a word w becomes the integer D^|w|*mu(w) (a
 Gaussian integer for complex tables) and each output moment is divided by
 its power of D once, at the end.  Results are identical to the rational
-evaluation.  The public `apply_left`/`apply_right` act on caller-supplied
-states and keep the constituent's rational table.
+evaluation.
+
+The public `TensorState` holds the same blocks as `(family, word)` pairs.
+`apply_left`/`apply_right` intern a caller's blocks into a registry of
+their own over the marginal's table as given, run the one step on
+GaussianRational values, and read the blocks of the result back out.
 """
 
 from __future__ import annotations
@@ -38,81 +42,34 @@ from .words import (LEFT, RIGHT, FaceSignature, Letter, Word, format_word,
                     union_signatures)
 
 # ---------------------------------------------------------------------------
-# Public state types
+# Public state type
 
-
-@dataclass(frozen=True)
-class ReducedVector:
-    """Element sum(c_w * (w - mu_t(w)*1)) of the kernel of mu_t.
-
-    `combo` maps nonempty words over family t's alphabet to coefficients;
-    the centering against mu_t is implied, not stored.
-    """
-
-    family: object
-    combo: tuple[tuple[Word, GaussianRational], ...]
-
-    def __post_init__(self):
-        for word, coeff in self.combo:
-            if not word:
-                raise DomainError("reduced vectors are spanned by nonempty words")
-            if not coeff:
-                raise DomainError("reduced vectors must not store zero coefficients")
-
-
-def _letter_key(letter: Letter):
-    return (str(letter.family), letter.side, str(letter.index), letter.star)
-
-
-def reduced_vector(family, combo: Mapping[Word, GaussianRational]) -> ReducedVector:
-    items = tuple(
-        sorted(
-            ((w, v) for w, v in combo.items() if v),
-            key=lambda it: (len(it[0]), tuple(_letter_key(l) for l in it[0])),
-        )
-    )
-    return ReducedVector(family, items)
-
-
-TensorWord = tuple  # tuple[ReducedVector, ...]
+TensorWord = tuple  # tuple[tuple[family, Word], ...]
 
 
 class TensorState:
-    """Scalar multiple of the unit vector plus a combination of tensor words."""
+    """Scalar multiple of the unit vector plus a combination of tensor words.
+
+    A tensor word is a tuple of blocks (family, word); block (t, w) stands
+    for the centered element w - mu_t(w)*1 of the kernel of mu_t.  Every
+    word is nonempty, adjacent blocks come from distinct families, and zero
+    terms are dropped.
+    """
 
     __slots__ = ("vacuum", "terms")
 
     def __init__(self, vacuum: GaussianRational = ZERO,
                  terms: Mapping[TensorWord, GaussianRational] | None = None):
+        terms = terms or {}
+        for blocks in terms:
+            _check_blocks(blocks)
         self.vacuum = vacuum
-        self.terms = dict(terms or {})
-        for blocks in self.terms:
-            _check_alternation(blocks)
-
-    def canonical(self) -> TensorState:
-        """Expand multilinearly into single-word blocks with unit coefficients."""
-        out: dict[TensorWord, GaussianRational] = {}
-        for blocks, coeff in self.terms.items():
-            if not coeff:
-                continue
-            expanded = [((), coeff)]
-            for block in blocks:
-                expanded = [
-                    (key + (reduced_vector(block.family, {word: ONE}),), c * v)
-                    for key, c in expanded
-                    for word, v in block.combo
-                ]
-            for key, c in expanded:
-                acc = out.get(key)
-                c = c if acc is None else acc + c
-                out[key] = c
-        return TensorState(self.vacuum, {k: v for k, v in out.items() if v})
+        self.terms = {blocks: c for blocks, c in terms.items() if c}
 
     def __eq__(self, other):
         if not isinstance(other, TensorState):
             return NotImplemented
-        a, b = self.canonical(), other.canonical()
-        return a.vacuum == b.vacuum and a.terms == b.terms
+        return self.vacuum == other.vacuum and self.terms == other.terms
 
     def __repr__(self):
         return f"TensorState(vacuum={self.vacuum!r}, terms={self.terms!r})"
@@ -127,9 +84,12 @@ def vacuum_coefficient(state: TensorState) -> GaussianRational:
     return state.vacuum
 
 
-def _check_alternation(blocks: TensorWord) -> None:
-    for a, b in zip(blocks, blocks[1:]):
-        if a.family == b.family:
+def _check_blocks(blocks: TensorWord) -> None:
+    for _, word in blocks:
+        if not word:
+            raise DomainError("tensor blocks are spanned by nonempty words")
+    for (a, _), (b, _) in zip(blocks, blocks[1:]):
+        if a == b:
             raise DomainError("adjacent tensor blocks must come from distinct families")
 
 
@@ -137,8 +97,8 @@ def _check_alternation(blocks: TensorWord) -> None:
 # The single transition shared by the public and the table-building paths.
 #
 # State keys are tuples of block ids from one `_Blocks` registry; values
-# support +, *, unary - and truthiness (a bare int, a GaussianRational with
-# int components, or, in apply_left/apply_right, a rational or a
+# support +, *, unary - and truthiness (an int, a Gaussian integer, i.e. a
+# GaussianRational with int components, or, in apply_left/apply_right, a
 # GaussianRational).  A summand (is_left, tag, a, m_a, single) carries the
 # acting letter a, its own first moment m_a and the id `single` of the
 # one-letter block (tag, (a,)); the registry resolves every other moment
@@ -147,15 +107,13 @@ def _check_alternation(blocks: TensorWord) -> None:
 # through `on_missing`.
 
 
-_MISSING = object()
-
-
 class _Blocks:
     """Tensor blocks (tag, word) interned as int ids in order of first reach.
 
     `tag[b]`, `word[b]` and `moment[b]` describe block b; `moment[b]` is
-    `tables[tag][word]`, or `_MISSING` for a word no table holds (a
-    caller's block past the degree bound, or of a family without a table).
+    `tables[tag][word]`, or None for a word no table holds (a caller's
+    block past the degree bound, or of a family without a table); a stored
+    moment is never None.
     `child[(b, a)]` is the block (tag[b], (a,) + word[b]).
     """
 
@@ -182,8 +140,8 @@ class _Blocks:
     def grow(self, head: int, a) -> int:
         tag = self.tag[head]
         word = (a,) + self.word[head]
-        moment = self.tables[tag].get(word, _MISSING)
-        if moment is _MISSING:
+        moment = self.tables[tag].get(word)
+        if moment is None:
             self.on_missing(tag, word)
         block = self.child[(head, a)] = self.intern(tag, word, moment)
         return block
@@ -276,10 +234,17 @@ class _EvalContext(Dilation):
             f"{self.degrees[tag]}"
         )
 
-    def summand(self, is_left: bool, tag: int, letter_id: int):
+    def summand(self, tag: int, letter: Letter):
+        """The action of `letter` as a letter of constituent `tag`."""
+        letter_id = self.letter_ids[tag].get(letter)
+        if letter_id is None:
+            raise SignatureError(
+                f"letter {format_word((letter,))} is not declared by its marginal"
+            )
         word = (letter_id,)
         moment = self.tables[tag][word]
-        return (is_left, tag, letter_id, moment, self.blocks.intern(tag, word, moment))
+        return (letter.side == LEFT, tag, letter_id, moment,
+                self.blocks.intern(tag, word, moment))
 
 
 def _eval_steps(ctx: _EvalContext, steps: Sequence) -> GaussianRational:
@@ -318,35 +283,6 @@ def _build_table(ctx: _EvalContext, signature: FaceSignature,
 # Public operations
 
 
-def _encode_state(state: TensorState, real: bool, blocks: _Blocks) -> dict:
-    canonical = state.canonical()
-    encoded: dict = {}
-    if canonical.vacuum:
-        encoded[()] = canonical.vacuum.re if real else canonical.vacuum
-    for key, coeff in canonical.terms.items():
-        ids = []
-        for b in key:
-            word = b.combo[0][0]
-            # a block of a family without a table is never grown or read
-            moment = blocks.tables.get(b.family, {}).get(word, _MISSING)
-            ids.append(blocks.intern(b.family, word, moment))
-        encoded[tuple(ids)] = coeff.re if real else coeff
-    return encoded
-
-
-def _decode_state(encoded: dict, real: bool, blocks: _Blocks) -> TensorState:
-    vacuum = ZERO
-    terms: dict[TensorWord, GaussianRational] = {}
-    for key, value in encoded.items():
-        scalar = GaussianRational(value) if real else value
-        if key == ():
-            vacuum = scalar
-        else:
-            decoded = tuple(reduced_vector(blocks.tag[b], {blocks.word[b]: ONE}) for b in key)
-            terms[decoded] = scalar
-    return TensorState(vacuum, terms)
-
-
 def _apply_side(is_left: bool, family, letter: Letter, state: TensorState,
                 marginal: Distribution) -> TensorState:
     side = LEFT if is_left else RIGHT
@@ -356,11 +292,6 @@ def _apply_side(is_left: bool, family, letter: Letter, state: TensorState,
             f"family {family!r}"
         )
     marginal.signature.validate_letter(letter)
-    real = all(v.is_real for v in marginal.moments.values())
-    if real:
-        table = {w: v.re for w, v in marginal.moments.items()}
-    else:
-        table = dict(marginal.moments)
 
     def on_missing(tag, word):
         raise TruncationError(
@@ -368,13 +299,22 @@ def _apply_side(is_left: bool, family, letter: Letter, state: TensorState,
             f"{marginal.degree}"
         )
 
+    table = marginal.moments
     blocks = _Blocks({family: table}, on_missing)
-    encoded = _encode_state(state, real, blocks)
+    # a block of another family is never grown and its moment never read
+    state_ids = {(): state.vacuum} if state.vacuum else {}
+    for key, coeff in state.terms.items():
+        ids = tuple(blocks.intern(t, w, table.get(w) if t == family else None)
+                    for t, w in key)
+        state_ids[ids] = coeff
     m_a = table[(letter,)]
     summand = (is_left, family, letter, m_a, blocks.intern(family, (letter,), m_a))
-    encoded = _apply_step(encoded, (summand,), blocks)
-    # TensorState checks that adjacent blocks of the result alternate
-    return _decode_state(encoded, real, blocks)
+    state_ids = _apply_step(state_ids, (summand,), blocks)
+    vacuum = state_ids.pop((), ZERO)
+    return TensorState(vacuum, {
+        tuple((blocks.tag[b], blocks.word[b]) for b in ids): coeff
+        for ids, coeff in state_ids.items()
+    })
 
 
 def apply_left(family, letter: Letter, state: TensorState,
@@ -394,13 +334,7 @@ def _word_steps(ctx: _EvalContext, tag_of: Mapping, word: Word):
     for letter in word:
         if letter.family not in tag_of:
             raise DomainError(f"no marginal given for family {letter.family!r}")
-        tag = tag_of[letter.family]
-        lid = ctx.letter_ids[tag].get(letter)
-        if lid is None:
-            raise SignatureError(
-                f"letter {format_word((letter,))} is not declared by its marginal"
-            )
-        steps.append((ctx.summand(letter.side == LEFT, tag, lid),))
+        steps.append((ctx.summand(tag_of[letter.family], letter),))
     return steps
 
 
@@ -430,8 +364,7 @@ def bifree_product(marginals: Sequence[Distribution], degree: int) -> Distributi
         for fam in dist.signature.families:
             tag_of[fam.family] = i
     letter_steps = {
-        letter: ((ctx.summand(letter.side == LEFT, tag_of[letter.family],
-                              ctx.letter_ids[tag_of[letter.family]][letter]),),)
+        letter: ((ctx.summand(tag_of[letter.family], letter),),)
         for letter in signature.letters()
     }
     return _build_table(ctx, signature, letter_steps, degree)

@@ -6,7 +6,7 @@ body lines map one word to one exact scalar.  Covariance files carry no
 degree bound and map a pair of letters to a scalar; vector files declare
 `# dim: N` instead of a degree and map a letter (starred for the companion
 map) to N scalars.  In every format all header lines come first.
-Emission is canonical: headers in signature order, then words in
+Emission has one fixed order: headers in signature order, then words in
 graded-lex order, so equal tables produce byte-identical text.
 
     # family 1 left: a b
@@ -23,11 +23,11 @@ from __future__ import annotations
 import re
 
 from .dist import CumulantTable, Distribution
-from .errors import ParseError
+from .errors import DomainError, ParseError, SignatureError
 from .models import CovarianceSpec, VectorSpec
 from .scalars import GaussianRational, format_scalar, parse_scalar
-from .words import (LEFT, RIGHT, FaceSignature, FamilyFaces, Letter, Word, format_letter,
-                    format_word)
+from .words import (LEFT, RIGHT, FaceSignature, FamilyFaces, Letter, Word, check_index,
+                    format_letter, format_word)
 
 _FACE_RE = re.compile(r"^#\s*family\s+(\S+)\s+(left|right)\s*:\s*(.*)$")
 _STAR_RE = re.compile(r"^#\s*star\s*:\s*(yes|no)\s*$")
@@ -38,7 +38,7 @@ _VECTOR_ROW_RE = re.compile(r"^(.+?)(\*)?\s*:\s*(.*)$")
 
 
 def _family_id(text: str):
-    return int(text) if text.isdigit() else text
+    return int(text) if text.isascii() and text.isdigit() else text
 
 
 class _HeaderState:
@@ -59,6 +59,11 @@ class _HeaderState:
         if m := _FACE_RE.match(line):
             fid = _family_id(m.group(1))
             side, indices = m.group(2), tuple(m.group(3).split())
+            try:
+                for index in indices:
+                    check_index(fid, index)
+            except SignatureError as exc:
+                raise ParseError(str(exc), lineno) from None
             if fid not in self.faces:
                 self.faces[fid] = {}
                 self.order.append(fid)
@@ -135,7 +140,7 @@ def _parse_letter(text: str, signature: FaceSignature, lineno: int) -> Letter:
     index, star = m.group(2), m.group(3) is not None
     try:
         faces = signature.family_faces(fid)
-    except Exception:
+    except DomainError:
         raise ParseError(f"letter {text!r} names an undeclared family", lineno) from None
     if index in faces.left:
         side = LEFT

@@ -45,7 +45,8 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real scalar equals its real part, so it hashes as that part
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"

@@ -39,6 +39,14 @@ def format_word(word: Word) -> str:
     return " ".join(format_letter(letter) for letter in word)
 
 
+def check_index(family, index: str) -> None:
+    """Refuse a face index that no letter text FAMILY.INDEX[*] can name."""
+    if "." in index or "*" in index:
+        raise SignatureError(
+            f"index {index!r} of family {family!r} contains '.' or '*'"
+        )
+
+
 @dataclass(frozen=True)
 class FamilyFaces:
     """One family's declaration: left face I, right face J, star closure."""
@@ -49,6 +57,8 @@ class FamilyFaces:
     star_closed: bool = False
 
     def __post_init__(self):
+        for index in self.left + self.right:
+            check_index(self.family, index)
         if len(set(self.left)) != len(self.left) or len(set(self.right)) != len(self.right):
             raise SignatureError(f"duplicate index in family {self.family!r}")
         if set(self.left) & set(self.right):

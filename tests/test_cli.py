@@ -31,6 +31,21 @@ def test_cumulants_moments_round_trip(tmp_path, mu_path):
     assert out.read_text() == mu_path.read_text()
 
 
+def test_non_ascii_digit_family_id_round_trips(tmp_path):
+    # '²'.isdigit() is true but int('²') fails: the id stays the string '²'
+    text = ("# family ² left: a\n# family 7 right: c\n# star: no\n# degree: 2\n"
+            "() : 1\n².a : 1/2\n7.c : 1/3\n².a ².a : 1\n².a 7.c : 1/6\n"
+            "7.c ².a : 1/6\n7.c 7.c : 1/5\n")
+    dist = parse_distribution(text)
+    assert [fam.family for fam in dist.signature.families] == ["²", 7]
+    assert format_distribution(dist) == text
+    path, cum, out = tmp_path / "sup.dist", tmp_path / "sup.cum", tmp_path / "sup2.dist"
+    path.write_text(text, encoding="utf-8")
+    assert main(["cumulants", "--in", str(path), "--out", str(cum)]) == 0
+    assert main(["moments", "--in", str(cum), "--out", str(out)]) == 0
+    assert out.read_bytes() == path.read_bytes()
+
+
 def test_product_and_check_bifree(tmp_path, rng):
     sig2 = two_faced(left=("a",), right=("c",), family=2)
     p1, p2 = tmp_path / "m1.dist", tmp_path / "m2.dist"

@@ -9,7 +9,7 @@ from util import coprime_dist, rand_dist
 from bifree.dist import Distribution, group_families
 from bifree.engine import (TensorState, _apply_step, _build_table, _EvalContext, apply_left,
                            apply_right, bifree_product, check_bifree, joint_moment,
-                           reduced_vector, vacuum_coefficient, vacuum_state)
+                           vacuum_coefficient, vacuum_state)
 from bifree.errors import DomainError, SignatureError, TruncationError
 from bifree.io import format_distribution
 from bifree.scalars import ONE, ZERO, GaussianRational, _dilate, qi
@@ -24,7 +24,7 @@ C2 = Letter(2, RIGHT, "c")
 
 
 def block(family, *letters):
-    return reduced_vector(family, {tuple(letters): ONE})
+    return (family, tuple(letters))
 
 
 # ---------------------------------------------------------------------------
@@ -127,18 +127,6 @@ def test_apply_truncation_error(rng):
         apply_left(1, A1, state, mu)
 
 
-def test_multilinear_combo_blocks_expand(rng):
-    mu = rand_dist(SIG1, 3, rng)
-    combined = TensorState(
-        ZERO, {(reduced_vector(1, {(C1,): qi(2), (A1,): qi(3)}),): ONE}
-    )
-    split = TensorState(ZERO, {(block(1, C1),): qi(2), (block(1, A1),): qi(3)})
-    assert combined == split
-    applied_combined = apply_left(1, A1, combined, mu)
-    applied_split = apply_left(1, A1, split, mu)
-    assert applied_combined == applied_split
-
-
 def test_vacuum_coefficient():
     assert vacuum_coefficient(vacuum_state()) == ONE
     assert vacuum_coefficient(TensorState(ZERO, {(block(1, A1),): ONE})) == ZERO
@@ -157,20 +145,32 @@ def test_alternation_rejected():
         TensorState(ZERO, {(block(1, A1), block(1, C1)): ONE})
 
 
+def test_tensor_state_checks_blocks_and_drops_zero_terms():
+    with pytest.raises(DomainError, match="nonempty"):
+        TensorState(ZERO, {(block(1, A1), block(2)): ONE})
+    with pytest.raises(DomainError, match="distinct families"):
+        TensorState(ZERO, {(block(2, A2), block(1, A1), block(1, C1)): ZERO})
+    state = TensorState(ONE, {(block(1, A1),): ZERO, (block(2, C2),): qi(3)})
+    assert state.terms == {(block(2, C2),): qi(3)}
+    assert state == TensorState(ONE, {(block(2, C2),): qi(3)})
+    assert state != TensorState(ZERO, {(block(2, C2),): qi(3)})
+
+
 # ---------------------------------------------------------------------------
 # commutation of left and right actions across distinct families
 
 
-def _random_reachable_state(marginals, letters, rng, depth=4):
-    state = vacuum_state()
-    for _ in range(rng.randint(0, depth)):
-        letter = rng.choice(letters)
-        mu = marginals[letter.family]
-        if letter.side == LEFT:
-            state = apply_left(letter.family, letter, state, mu)
-        else:
-            state = apply_right(letter.family, letter, state, mu)
+def _apply_word(marginals, word, state):
+    # the operator product of `word`, applied right to left
+    for letter in reversed(word):
+        apply = apply_left if letter.side == LEFT else apply_right
+        state = apply(letter.family, letter, state, marginals[letter.family])
     return state
+
+
+def _random_reachable_state(marginals, letters, rng, depth=4):
+    word = [rng.choice(letters) for _ in range(rng.randint(0, depth))]
+    return _apply_word(marginals, word, vacuum_state())
 
 
 def test_commutation_on_random_states(rng):
@@ -191,6 +191,22 @@ def test_same_family_does_not_commute_in_general(rng):
     # vacuum parts are mu(ac) vs mu(ca): equal only for commuting moments
     assert lr.vacuum == mu.moment((A1, C1))
     assert rl.vacuum == mu.moment((C1, A1))
+
+
+def test_public_actions_on_complex_coprime_marginals(rng):
+    # the public actions run on the marginals' GaussianRational tables as
+    # given: complex entries whose real and imaginary parts have coprime
+    # denominators
+    marginals = {1: coprime_dist(SIG1, 4, rng, 7, 11), 2: coprime_dist(SIG2, 4, rng, 13, 17)}
+    letters = [A1, C1, A2, C2]
+    for n in range(5):
+        for word in itertools.product(letters, repeat=n):
+            state = _apply_word(marginals, word, vacuum_state())
+            assert state.vacuum == naive_joint_moment(marginals, word)
+            if n <= 2:
+                for a, c in ((A1, C2), (A2, C1)):
+                    assert _apply_word(marginals, (a, c), state) == \
+                        _apply_word(marginals, (c, a), state)
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +407,8 @@ def test_dilated_tables_hold_integers(rng):
             assert dilated == value * qi(ctx.dilation ** len(word))
     # the states stay on Gaussian integers as letters act on them
     state = {(): ctx.one}
-    for is_left, tag in ((True, 0), (False, 1), (True, 0), (False, 0), (True, 2)):
-        step = (ctx.summand(is_left, tag, 0 if is_left else 1),)
+    for tag, letter in ((0, A1), (1, C2), (0, A1), (0, C1), (2, Letter(3, LEFT, "a"))):
+        step = (ctx.summand(tag, letter),)
         state = _apply_step(state, step, ctx.blocks)
         assert state
         assert all(type(v.re) is int and type(v.im) is int for v in state.values())
@@ -412,7 +428,7 @@ def _product_build(mus, degree):
     # the table build of bifree_product, keeping the context for its registry
     ctx = _EvalContext(mus)
     letter_steps = {
-        letter: ((ctx.summand(letter.side == LEFT, tag, ctx.letter_ids[tag][letter]),),)
+        letter: ((ctx.summand(tag, letter),),)
         for tag, mu in enumerate(mus) for letter in mu.signature.letters()
     }
     signature = union_signatures([mu.signature for mu in mus])

@@ -1,12 +1,14 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from util import rand_dist
 
 from bifree.cumulant import cumulants_from_moments
-from bifree.dist import Distribution
+from bifree.dist import Distribution, point_distribution
 from bifree.errors import (DomainError, IncompleteTableError, NormalizationError,
-                           ParseError)
+                           ParseError, SignatureError)
 from bifree.io import (format_cumulant_table, format_distribution,
                        parse_cumulant_table, parse_distribution)
 from bifree.scalars import ONE, GaussianRational, format_scalar, qi
@@ -148,6 +150,19 @@ def test_table_header_after_entries_names_its_line():
         parse_distribution(MINIMAL + "# star: yes\n")
     with pytest.raises(ParseError, match="^line 4: a moments file takes no '# dim:' header"):
         parse_distribution(MINIMAL.replace("# degree: 1", "# degree: 1\n# dim: 2"))
+
+
+def test_face_index_no_letter_can_name_is_refused_at_its_header_line():
+    two_faces = MINIMAL.replace("# family 1 left: a", "# family 1 left: a\n# family 1 right: c")
+    for bad in ("c.d", "c*"):
+        with pytest.raises(ParseError, match=rf"^line 2: index '{re.escape(bad)}' of family 1 contains"):
+            parse_distribution(two_faces.replace("right: c", f"right: {bad} e"))
+    # such a table cannot be built either, so none can be written
+    with pytest.raises(SignatureError):
+        point_distribution(two_faced(left=("a.b",)), 1)
+    # a family missing from the headers is still reported on its body line
+    with pytest.raises(ParseError, match="^line 5: letter '2.a' names an undeclared family"):
+        parse_distribution(MINIMAL.replace("1.a :", "2.a :"))
 
 
 def test_complex_scalar_format_matches_spec_example():

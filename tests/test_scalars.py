@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ def test_constants():
     assert ONE
     assert ONE + qi(-1) == ZERO
     assert ONE == 1 and ZERO == 0
+    assert len({ONE, 1}) == 1 and len({qi(1, 2), Fraction(1, 2)}) == 1
 
 
 @given(scalars, scalars, scalars)
@@ -74,6 +77,14 @@ def test_integer_components_stay_integers():
               r * zero, zero * zero):
         assert type(v.re) is int and type(v.im) is int
     assert r * r == qi(16) and a * b == qi(-1, 1, 31, 1)
+
+
+@given(rationals)
+def test_real_scalars_hash_as_their_real_part(re_part):
+    # a real scalar equals its real part, so it must hash as that part
+    real = GaussianRational(re_part)
+    assert real == re_part and hash(real) == hash(re_part)
+    assert len({real, re_part}) == 1
 
 
 def test_decimal_magnitude():

@@ -76,6 +76,17 @@ def test_signature_validation():
         union_signatures([two_faced(left=("a",)), two_faced(left=("b",))])
 
 
+@pytest.mark.parametrize("index", ["a.b", "a*", ".", "*"])
+def test_index_no_letter_text_can_name_is_refused(index):
+    # a letter is written FAMILY.INDEX[*], so '.' and '*' cannot occur in INDEX
+    with pytest.raises(SignatureError, match=r"contains '\.' or '\*'"):
+        FamilyFaces(1, (index,))
+    with pytest.raises(SignatureError):
+        two_faced(left=("a",), right=(index,), family="x.y")
+    # dots in the family id stay allowed: the letter parser splits at the last one
+    assert two_faced(left=("a",), family="x.y").letters()[0].index == "a"
+
+
 def test_validate_letter(star_sig):
     star_sig.validate_letter(Letter(1, LEFT, "a", True))
     with pytest.raises(SignatureError):
