@@ -31,13 +31,20 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise BifreeError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise BifreeError(
+            f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
 
 
 def _write(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise BifreeError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _dist_output(dist: Distribution, fmt: str) -> str:

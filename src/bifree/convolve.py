@@ -30,7 +30,7 @@ def boxplus2(mu: Distribution, nu: Distribution, degree: int) -> Distribution:
     _check_pair(mu, nu, degree)
     ctx = _EvalContext([mu, nu])
     letter_steps = {
-        letter: ((ctx.summand(0, letter), ctx.summand(1, letter)),)
+        letter: ((ctx.blocks.summand(0, letter), ctx.blocks.summand(1, letter)),)
         for letter in mu.signature.letters()
     }
     return _build_table(ctx, mu.signature, letter_steps, degree)
@@ -45,7 +45,7 @@ def boxtimes2(mu: Distribution, nu: Distribution, degree: int) -> Distribution:
     _check_pair(mu, nu, degree)
     ctx = _EvalContext([mu, nu])
     letter_steps = {
-        letter: ((ctx.summand(0, letter),), (ctx.summand(1, letter),))
+        letter: ((ctx.blocks.summand(0, letter),), (ctx.blocks.summand(1, letter),))
         for letter in mu.signature.letters()
     }
     return _build_table(ctx, mu.signature, letter_steps, degree)

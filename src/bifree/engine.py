@@ -11,18 +11,19 @@ Internally a state is a dict mapping tensor keys to scalars.  A key is a
 tuple of int block ids with adjacent tags distinct; block id b stands for
 the centered element w - mu_t(w)*1 of constituent t's kernel, where
 (t, w) = (tag[b], word[b]) in the registry `_Blocks`.  Each block gets its
-id when it is first reached, together with its moment and, per acting
-letter, the id of the block that letter grows it into, so a step reads
-moments and grown blocks by index instead of building and hashing words.
-Multilinearity pushes every linear combination to the outer dict, which is
-what makes term merging effective.
+id when it is first reached, together with its moment, read from
+constituent t's own moment table, and, per acting letter, the id of the
+block that letter grows it into, so a step reads moments and grown blocks
+by index instead of building and hashing words.  Multilinearity pushes
+every linear combination to the outer dict, which is what makes term
+merging effective.
 
 Products and convolutions run on integers by dilation: every variable is
 scaled by D, the lcm of all denominators in the constituents' moment
 tables, so the moment of a word w becomes the integer D^|w|*mu(w) (a
 Gaussian integer for complex tables) and each output moment is divided by
-its power of D once, at the end.  Results are identical to the rational
-evaluation.
+its power of D once, at the end; the registry dilates each moment as it
+interns the block.  Results are identical to the rational evaluation.
 
 The public `TensorState` holds the same blocks as `(family, word)` pairs.
 `apply_left`/`apply_right` intern a caller's blocks into a registry of
@@ -99,52 +100,68 @@ def _check_blocks(blocks: TensorWord) -> None:
 # State keys are tuples of block ids from one `_Blocks` registry; values
 # support +, *, unary - and truthiness (an int, a Gaussian integer, i.e. a
 # GaussianRational with int components, or, in apply_left/apply_right, a
-# GaussianRational).  A summand (is_left, tag, a, m_a, single) carries the
-# acting letter a, its own first moment m_a and the id `single` of the
-# one-letter block (tag, (a,)); the registry resolves every other moment
-# and grown block.  A block's word is built only when `_Blocks.grow` first
-# creates it, which is where a word past the degree bound is reported
-# through `on_missing`.
+# GaussianRational).  A summand (is_left, tag, m_a, single), made by
+# `_Blocks.summand`, carries the acting letter's own first moment m_a and
+# the id `single` of its one-letter block (tag, (a,)); the registry resolves
+# every other moment and grown block.  A block's word is built only when
+# `_Blocks.grow` first creates it, which is where a word past the degree
+# bound is reported.
 
 
 class _Blocks:
     """Tensor blocks (tag, word) interned as int ids in order of first reach.
 
-    `tag[b]`, `word[b]` and `moment[b]` describe block b; `moment[b]` is
-    `tables[tag][word]`, or None for a word no table holds (a caller's
-    block past the degree bound, or of a family without a table); a stored
-    moment is never None.
-    `child[(b, a)]` is the block (tag[b], (a,) + word[b]).
+    `tag[b]`, `word[b]` and `moment[b]` describe block b: `word[b]` is a
+    tuple of letters and `moment[b]` is `scale(dists[tag].moments[word],
+    len(word))`, or None for a word no table holds (a caller's block past
+    the degree bound, or of a family without a table); a stored moment is
+    never None.  `child[(b, s)]` is the block (tag[b], word[s] + word[b])
+    for the one-letter block s of an acting letter.
     """
 
-    __slots__ = ("tables", "on_missing", "tag", "word", "moment", "child", "ids")
+    __slots__ = ("dists", "scale", "tag", "word", "moment", "child", "ids")
 
-    def __init__(self, tables, on_missing):
-        self.tables = tables
-        self.on_missing = on_missing
+    def __init__(self, dists: Mapping[object, Distribution], scale):
+        self.dists = dists
+        self.scale = scale
         self.tag: list = []
         self.word: list = []
         self.moment: list = []
         self.child: dict = {}
         self.ids: dict = {}
 
-    def intern(self, tag, word, moment) -> int:
+    def intern(self, tag, word: Word) -> int:
         block = self.ids.get((tag, word))
         if block is None:
             block = self.ids[(tag, word)] = len(self.tag)
+            dist = self.dists.get(tag)
+            moment = None if dist is None else dist.moments.get(word)
             self.tag.append(tag)
             self.word.append(word)
-            self.moment.append(moment)
+            self.moment.append(None if moment is None else self.scale(moment, len(word)))
         return block
 
-    def grow(self, head: int, a) -> int:
+    def grow(self, head: int, single: int) -> int:
         tag = self.tag[head]
-        word = (a,) + self.word[head]
-        moment = self.tables[tag].get(word)
-        if moment is None:
-            self.on_missing(tag, word)
-        block = self.child[(head, a)] = self.intern(tag, word, moment)
+        word = self.word[single] + self.word[head]
+        block = self.intern(tag, word)
+        if self.moment[block] is None:
+            raise TruncationError(
+                f"moment of word {format_word(word)} exceeds degree bound "
+                f"{self.dists[tag].degree}"
+            )
+        self.child[(head, single)] = block
         return block
+
+    def summand(self, tag, letter: Letter):
+        """The action of `letter` as a letter of constituent `tag`."""
+        single = self.intern(tag, (letter,))
+        m_a = self.moment[single]
+        if m_a is None:
+            raise SignatureError(
+                f"letter {format_word((letter,))} is not declared by its marginal"
+            )
+        return (letter.side == LEFT, tag, m_a, single)
 
 
 def _apply_step(state: dict, summands, blocks: _Blocks) -> dict:
@@ -153,13 +170,13 @@ def _apply_step(state: dict, summands, blocks: _Blocks) -> dict:
     child = blocks.child
     out: dict = {}
     for key, c in state.items():
-        for is_left, tag, a, m_a, single in summands:
+        for is_left, tag, m_a, single in summands:
             if key:
                 head = key[0] if is_left else key[-1]
                 if tags[head] == tag:
-                    aw = child.get((head, a))
+                    aw = child.get((head, single))
                     if aw is None:
-                        aw = blocks.grow(head, a)
+                        aw = blocks.grow(head, single)
                     rest = key[1:] if is_left else key[:-1]
                     grown = (aw,) + rest if is_left else rest + (aw,)
                     acc = out.get(grown)
@@ -194,57 +211,23 @@ def _apply_step(state: dict, summands, blocks: _Blocks) -> dict:
 
 
 class _EvalContext(Dilation):
-    """Moment tables of a list of constituents, dilated onto the integers.
+    """Constituents of a product, their moments read dilated onto the integers.
 
     D (`dilation`) is the lcm of the real and imaginary denominators of every
-    moment of every constituent.  The table of constituent t maps the letter
-    ids of a word w to D^|w|*mu_t(w): a bare int when every moment is real,
-    a GaussianRational with int components otherwise.  `_apply_step` only
-    adds, multiplies and negates, and every summand it forms carries the same
-    power of D, so a vacuum coefficient computed from these tables is the
-    dilated moment; `scalar` divides it by its scale.  `blocks` interns the
-    tensor blocks over these tables for every walk of the context.
+    moment of every constituent.  `blocks` reads constituent t's own moment
+    table and holds the moment of a block word w as D^|w|*mu_t(w): a bare
+    int when every moment is real, a GaussianRational with int components
+    otherwise.  `_apply_step` only adds, multiplies and negates, and every
+    summand it forms carries the same power of D, so a vacuum coefficient
+    computed from these blocks is the dilated moment; `scalar` divides it by
+    its scale.  `blocks` serves every walk of the context.
     """
 
     def __init__(self, constituents: Sequence[Distribution]):
-        self.dists = list(constituents)
-        super().__init__(v for d in self.dists for v in d.moments.values())
-        self.letters: list[tuple[Letter, ...]] = []
-        self.letter_ids: list[dict[Letter, int]] = []
-        self.tables: list[dict] = []
-        self.degrees: list[int] = []
-        for dist in self.dists:
-            alphabet = dist.signature.letters()
-            ids = {letter: i for i, letter in enumerate(alphabet)}
-            powers = [self.dilation**k for k in range(dist.degree + 1)]
-            table = {
-                tuple(ids[l] for l in w): self.dilated(v, powers[len(w)])
-                for w, v in dist.moments.items()
-            }
-            self.letters.append(alphabet)
-            self.letter_ids.append(ids)
-            self.tables.append(table)
-            self.degrees.append(dist.degree)
-        self.blocks = _Blocks(self.tables, self.on_missing)
-
-    def on_missing(self, tag: int, word) -> None:
-        decoded = tuple(self.letters[tag][i] for i in word)
-        raise TruncationError(
-            f"moment of word {format_word(decoded)} exceeds degree bound "
-            f"{self.degrees[tag]}"
-        )
-
-    def summand(self, tag: int, letter: Letter):
-        """The action of `letter` as a letter of constituent `tag`."""
-        letter_id = self.letter_ids[tag].get(letter)
-        if letter_id is None:
-            raise SignatureError(
-                f"letter {format_word((letter,))} is not declared by its marginal"
-            )
-        word = (letter_id,)
-        moment = self.tables[tag][word]
-        return (letter.side == LEFT, tag, letter_id, moment,
-                self.blocks.intern(tag, word, moment))
+        dists = dict(enumerate(constituents))
+        super().__init__(v for d in dists.values() for v in d.moments.values())
+        self.blocks = _Blocks(
+            dists, lambda value, length: self.dilated(value, self.dilation ** length))
 
 
 def _eval_steps(ctx: _EvalContext, steps: Sequence) -> GaussianRational:
@@ -291,25 +274,13 @@ def _apply_side(is_left: bool, family, letter: Letter, state: TensorState,
             f"letter {format_word((letter,))} is not a {side}-face letter of "
             f"family {family!r}"
         )
-    marginal.signature.validate_letter(letter)
-
-    def on_missing(tag, word):
-        raise TruncationError(
-            f"moment of word {format_word(word)} exceeds degree bound "
-            f"{marginal.degree}"
-        )
-
-    table = marginal.moments
-    blocks = _Blocks({family: table}, on_missing)
+    marginal.signature.family_faces(family)  # DomainError unless declared
+    blocks = _Blocks({family: marginal}, lambda value, length: value)
     # a block of another family is never grown and its moment never read
     state_ids = {(): state.vacuum} if state.vacuum else {}
     for key, coeff in state.terms.items():
-        ids = tuple(blocks.intern(t, w, table.get(w) if t == family else None)
-                    for t, w in key)
-        state_ids[ids] = coeff
-    m_a = table[(letter,)]
-    summand = (is_left, family, letter, m_a, blocks.intern(family, (letter,), m_a))
-    state_ids = _apply_step(state_ids, (summand,), blocks)
+        state_ids[tuple(blocks.intern(t, w) for t, w in key)] = coeff
+    state_ids = _apply_step(state_ids, (blocks.summand(family, letter),), blocks)
     vacuum = state_ids.pop((), ZERO)
     return TensorState(vacuum, {
         tuple((blocks.tag[b], blocks.word[b]) for b in ids): coeff
@@ -334,7 +305,7 @@ def _word_steps(ctx: _EvalContext, tag_of: Mapping, word: Word):
     for letter in word:
         if letter.family not in tag_of:
             raise DomainError(f"no marginal given for family {letter.family!r}")
-        steps.append((ctx.summand(tag_of[letter.family], letter),))
+        steps.append((ctx.blocks.summand(tag_of[letter.family], letter),))
     return steps
 
 
@@ -364,7 +335,7 @@ def bifree_product(marginals: Sequence[Distribution], degree: int) -> Distributi
         for fam in dist.signature.families:
             tag_of[fam.family] = i
     letter_steps = {
-        letter: ((ctx.summand(tag_of[letter.family], letter),),)
+        letter: ((ctx.blocks.summand(tag_of[letter.family], letter),),)
         for letter in signature.letters()
     }
     return _build_table(ctx, signature, letter_steps, degree)

@@ -5,7 +5,9 @@ Header lines declare the face signature, star closure and degree bound;
 body lines map one word to one exact scalar.  Covariance files carry no
 degree bound and map a pair of letters to a scalar; vector files declare
 `# dim: N` instead of a degree and map a letter (starred for the companion
-map) to N scalars.  In every format all header lines come first.
+map) to N scalars.  In every format all header lines come first, and a
+body line splits at its last `:`, since a scalar never holds one and an
+index may (`group_families` names pooled indices "<family>:<index>").
 Emission has one fixed order: headers in signature order, then words in
 graded-lex order, so equal tables produce byte-identical text.
 
@@ -34,7 +36,7 @@ _STAR_RE = re.compile(r"^#\s*star\s*:\s*(yes|no)\s*$")
 _KIND_RE = re.compile(r"^#\s*kind\s*:\s*(\S+)\s*$")
 _NUMBER_RE = re.compile(r"^#\s*(degree|dim)\s*:\s*(\d+)\s*$")
 _LETTER_RE = re.compile(r"^(.+?)\.([^.*]+)(\*)?$")
-_VECTOR_ROW_RE = re.compile(r"^(.+?)(\*)?\s*:\s*(.*)$")
+_VECTOR_ROW_RE = re.compile(r"^(.+?)(\*)?\s*:\s*([^:]*)$")
 
 
 def _family_id(text: str):
@@ -185,7 +187,7 @@ def _parse_table(text: str, kind: str):
     def body(signature, line, lineno):
         if ":" not in line:
             raise ParseError("expected 'WORD : SCALAR'", lineno)
-        word_text, _, scalar_text = line.partition(":")
+        word_text, _, scalar_text = line.rpartition(":")
         word = _parse_word(word_text, signature, lineno, letters)
         value = scalars.get(scalar_text)
         if value is None:
@@ -265,7 +267,7 @@ def parse_covariance(text: str) -> CovarianceSpec:
     c = {}
 
     def body(signature, line, lineno):
-        pair_text, _, scalar_text = line.partition(":")
+        pair_text, _, scalar_text = line.rpartition(":")
         tokens = pair_text.split()
         if len(tokens) != 2:
             raise ParseError("expected 'LETTER LETTER : SCALAR'", lineno)

@@ -135,7 +135,6 @@ class GaussianRational:
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-MINUS_ONE = GaussianRational(-1)
 
 
 def _coerce(value):

@@ -46,6 +46,24 @@ def test_non_ascii_digit_family_id_round_trips(tmp_path):
     assert out.read_bytes() == path.read_bytes()
 
 
+@pytest.mark.parametrize("out", [".", "missing/r.cum"])
+def test_unwritable_output_is_an_input_error(tmp_path, mu_path, capsys, out):
+    # a directory, or a file in a directory that does not exist
+    target = tmp_path / out
+    assert main(["cumulants", "--in", str(mu_path), "--out", str(target)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")
+    assert not (tmp_path / "missing").exists()
+
+
+def test_input_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.dist"
+    path.write_bytes("# family 1 left: \xe9\n".encode("latin-1"))
+    assert main(["cumulants", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}: not UTF-8 text (")
+    assert "at byte 17)" in err
+
+
 def test_product_and_check_bifree(tmp_path, rng):
     sig2 = two_faced(left=("a",), right=("c",), family=2)
     p1, p2 = tmp_path / "m1.dist", tmp_path / "m2.dist"

@@ -392,23 +392,37 @@ def test_product_on_coprime_denominators_matches_naive_oracle(rng):
         assert table.moment(word) == naive_joint_moment(marginals, word)
 
 
+def _product_build(mus, degree):
+    # the table build of bifree_product, keeping the context for its registry
+    ctx = _EvalContext(mus)
+    letter_steps = {
+        letter: ((ctx.blocks.summand(tag, letter),),)
+        for tag, mu in enumerate(mus) for letter in mu.signature.letters()
+    }
+    signature = union_signatures([mu.signature for mu in mus])
+    return _build_table(ctx, signature, letter_steps, degree), ctx.blocks
+
+
 def test_dilated_tables_hold_integers(rng):
-    real = _EvalContext([coprime_dist(SIG1, 3, rng, 7), coprime_dist(SIG2, 3, rng, 1)])
-    assert real.dilation == 7
-    assert all(type(v) is int for table in real.tables for v in table.values())
+    real = [coprime_dist(SIG1, 3, rng, 7), coprime_dist(SIG2, 3, rng, 1)]
+    assert _EvalContext(real).dilation == 7
+    _, blocks = _product_build(real, 3)
+    assert all(type(v) is int for v in blocks.moment)
 
     mus = _coprime_marginals(rng, 3)
     ctx = _EvalContext(mus)
-    for mu, ids, table in zip(mus, ctx.letter_ids, ctx.tables):
-        for word, value in mu.moments.items():
-            dilated = table[tuple(ids[l] for l in word)]
-            assert isinstance(dilated, GaussianRational)
-            assert type(dilated.re) is int and type(dilated.im) is int
-            assert dilated == value * qi(ctx.dilation ** len(word))
+    _, blocks = _product_build(mus, 3)
+    # every block word up to the degree is reached, each moment read from
+    # its constituent's own table and dilated by D^|word|
+    assert {len(word) for word in blocks.word} == {1, 2, 3}
+    for tag, word, dilated in zip(blocks.tag, blocks.word, blocks.moment):
+        assert isinstance(dilated, GaussianRational)
+        assert type(dilated.re) is int and type(dilated.im) is int
+        assert dilated == mus[tag].moments[word] * qi(ctx.dilation ** len(word))
     # the states stay on Gaussian integers as letters act on them
     state = {(): ctx.one}
     for tag, letter in ((0, A1), (1, C2), (0, A1), (0, C1), (2, Letter(3, LEFT, "a"))):
-        step = (ctx.summand(tag, letter),)
+        step = (ctx.blocks.summand(tag, letter),)
         state = _apply_step(state, step, ctx.blocks)
         assert state
         assert all(type(v.re) is int and type(v.im) is int for v in state.values())
@@ -424,17 +438,6 @@ def test_dilation_refuses_a_non_integral_entry():
 # interned tensor blocks
 
 
-def _product_build(mus, degree):
-    # the table build of bifree_product, keeping the context for its registry
-    ctx = _EvalContext(mus)
-    letter_steps = {
-        letter: ((ctx.summand(tag, letter),),)
-        for tag, mu in enumerate(mus) for letter in mu.signature.letters()
-    }
-    signature = union_signatures([mu.signature for mu in mus])
-    return _build_table(ctx, signature, letter_steps, degree), ctx.blocks
-
-
 def test_block_ids_are_deterministic(rng):
     mus = _coprime_marginals(rng, 4)
     first, first_blocks = _product_build(mus, 4)
@@ -443,8 +446,7 @@ def test_block_ids_are_deterministic(rng):
     assert id_map == list(zip(second_blocks.tag, second_blocks.word))
     # every block is interned once, and every grown block is a real table word
     assert len(set(id_map)) == len(id_map) > len(mus)
-    tables = _EvalContext(mus).tables
-    assert all(word in tables[tag] for tag, word in id_map)
+    assert all(word in mus[tag].moments for tag, word in id_map)
     assert format_distribution(first) == format_distribution(second)
     assert format_distribution(first) == format_distribution(bifree_product(mus, 4))
 
@@ -456,3 +458,12 @@ def test_joint_moment_past_the_degree_names_the_word(rng):
     assert joint_moment(marginals, (A1, C2, A1)) == naive_joint_moment(marginals, (A1, C2, A1))
     with pytest.raises(TruncationError, match=r"word 1\.a 1\.c 1\.a exceeds degree bound 2"):
         joint_moment(marginals, (A1, C2, C1, A1))
+
+
+def test_joint_moment_with_an_undeclared_letter_names_it(rng):
+    marginals = {1: rand_dist(SIG1, 2, rng), 2: rand_dist(SIG2, 2, rng)}
+    with pytest.raises(SignatureError, match=r"letter 1\.b is not declared by its marginal"):
+        joint_moment(marginals, (A2, Letter(1, LEFT, "b")))
+    # SIG1 is not star-closed, so its starred letters are undeclared too
+    with pytest.raises(SignatureError, match=r"letter 1\.a\* is not declared by its marginal"):
+        joint_moment(marginals, (Letter(1, LEFT, "a", True), C2))

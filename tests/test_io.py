@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import pytest
@@ -6,11 +7,14 @@ from hypothesis import strategies as st
 from util import rand_dist
 
 from bifree.cumulant import cumulants_from_moments
-from bifree.dist import Distribution, point_distribution
+from bifree.dist import Distribution, group_families, point_distribution
+from bifree.engine import bifree_product
 from bifree.errors import (DomainError, IncompleteTableError, NormalizationError,
                            ParseError, SignatureError)
-from bifree.io import (format_cumulant_table, format_distribution,
-                       parse_cumulant_table, parse_distribution)
+from bifree.io import (format_covariance, format_cumulant_table, format_distribution,
+                       format_vector_spec, parse_covariance, parse_cumulant_table,
+                       parse_distribution, parse_vector_spec)
+from bifree.models import CovarianceSpec, VectorSpec
 from bifree.scalars import ONE, GaussianRational, format_scalar, qi
 from bifree.words import LEFT, RIGHT, FaceSignature, Letter, format_word, two_faced
 
@@ -36,6 +40,37 @@ def test_round_trip_is_byte_identical(rng):
     again = parse_distribution(text)
     assert again == dist
     assert format_distribution(again) == text
+
+
+def test_grouped_product_round_trips(rng):
+    # group_families names pooled indices "<family>:<index>", so the word of
+    # a body line holds ':' too; every line splits at its last ':'
+    mus = [rand_dist(two_faced(left=("a",), right=("c",), family=k, star=True), 3, rng,
+                     with_imag=True) for k in (1, 2)]
+    grouped = group_families(bifree_product(mus, 3), "G")
+    text = format_distribution(grouped)
+    assert "\nG.1:a G.2:c* : " in text
+    again = parse_distribution(text)
+    assert again == grouped
+    assert format_distribution(again) == text
+
+
+def test_covariance_and_vector_rows_with_a_colon_index_round_trip():
+    sig = two_faced(left=("1:a",), right=("2:c",), family="G", star=True)
+    letters = sig.letters()
+    cov = CovarianceSpec(sig, {pair: qi(i, 3, -i, 2) for i, pair
+                               in enumerate(itertools.product(letters, repeat=2))})
+    text = format_covariance(cov)
+    assert "G.1:a G.2:c* : " in text
+    assert parse_covariance(text) == cov
+    assert format_covariance(parse_covariance(text)) == text
+    keys = [("G", LEFT, "1:a"), ("G", RIGHT, "2:c")]
+    spec = VectorSpec(sig, 2, {k: (qi(i), qi(1, 2)) for i, k in enumerate(keys)},
+                      {k: (qi(-i, 3), ONE) for i, k in enumerate(keys)})
+    text = format_vector_spec(spec)
+    assert "G.2:c* : " in text
+    assert parse_vector_spec(text) == spec
+    assert format_vector_spec(parse_vector_spec(text)) == text
 
 
 def test_structurally_equal_tables_emit_identical_bytes(rng):
