@@ -16,7 +16,7 @@ from .errors import (BifreeError, DomainError, IncompleteTableError, InvolutionE
 from .io import (format_cumulant_table, format_distribution, parse_covariance,
                  parse_cumulant_table, parse_distribution, parse_vector_spec)
 from .models import (CovarianceSpec, PsdResult, VectorSpec, covariance_from_vectors,
-                     fock_distribution, fock_moment, gaussian_dist, gram_psd_check,
+                     fock_distribution, gaussian_dist, gram_psd_check,
                      group_example_dist)
 from .scalars import ONE, ZERO, GaussianRational, qi
 from .words import (LEFT, RIGHT, FaceSignature, FamilyFaces, Letter, format_word,

@@ -68,7 +68,9 @@ def _solve(signature, degree: int, given: dict,
     tables dilated by D^|w|; each word is divided once at the end."""
     words = [w for w in signature.words(degree) if w]
     dil = Dilation(given[w] for w in words)
-    powers = [dil.dilation**k for k in range(degree + 1)]
+    # graded order: the last word is a longest one, however high `degree` is
+    longest = len(words[-1]) if words else 0
+    powers = [dil.dilation**k for k in range(longest + 1)]
     known = {w: dil.dilated(given[w], powers[len(w)]) for w in words}
     solved: dict = {}
     kappa, mu = (solved, known) if given_moments else (known, solved)

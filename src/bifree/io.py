@@ -1,13 +1,14 @@
 """Line-oriented text formats for moment, cumulant, covariance and vector
 tables.
 
-Header lines declare the face signature, star closure and degree bound;
-body lines map one word to one exact scalar.  Covariance files carry no
-degree bound and map a pair of letters to a scalar; vector files declare
-`# dim: N` instead of a degree and map a letter (starred for the companion
-map) to N scalars.  In every format all header lines come first, and a
-body line splits at its last `:`, since a scalar never holds one and an
-index may (`group_families` names pooled indices "<family>:<index>").
+Header lines declare the face signature, star closure and one number:
+`# degree:` for moment and cumulant tables, `# dim:` for vector files, none
+for covariance files.  All header lines come first.  Every body line is
+KEY : VALUES, split at its last `:`, since a scalar never holds one and an
+index may (`group_families` names pooled indices "<family>:<index>").  The
+key is a word and the values are blank-separated scalars in the grammar of
+`scalars`.  A covariance file is the two-letter part of a moment table; a
+vector row maps a letter, starred for the companion map h*, to N scalars.
 Emission has one fixed order: headers in signature order, then words in
 graded-lex order, so equal tables produce byte-identical text.
 
@@ -22,12 +23,13 @@ graded-lex order, so equal tables produce byte-identical text.
 
 from __future__ import annotations
 
+import itertools
 import re
 
 from .dist import CumulantTable, Distribution
 from .errors import DomainError, ParseError, SignatureError
 from .models import CovarianceSpec, VectorSpec
-from .scalars import GaussianRational, format_scalar, parse_scalar
+from .scalars import SCALAR_TOKEN_RE, GaussianRational, format_scalar, parse_scalar
 from .words import (LEFT, RIGHT, FaceSignature, FamilyFaces, Letter, Word, check_index,
                     format_letter, format_word)
 
@@ -36,7 +38,6 @@ _STAR_RE = re.compile(r"^#\s*star\s*:\s*(yes|no)\s*$")
 _KIND_RE = re.compile(r"^#\s*kind\s*:\s*(\S+)\s*$")
 _NUMBER_RE = re.compile(r"^#\s*(degree|dim)\s*:\s*(\d+)\s*$")
 _LETTER_RE = re.compile(r"^(.+?)\.([^.*]+)(\*)?$")
-_VECTOR_ROW_RE = re.compile(r"^(.+?)(\*)?\s*:\s*([^:]*)$")
 
 
 def _family_id(text: str):
@@ -109,13 +110,14 @@ class _HeaderState:
         )
 
 
-def _parse_lines(text: str, header: _HeaderState, body) -> tuple[FaceSignature | None, int]:
+def _parse_lines(text: str, header: _HeaderState, body) -> FaceSignature:
     """The line loop shared by every format: header lines, then body lines.
 
     Header lines go to `header`.  At the first body line the headers are
     complete and give the signature; each body line then goes to
-    `body(signature, line, lineno)`.  Returns the signature (None without
-    body lines) and the number of the last line.
+    `body(signature, line, lineno)`.  Returns the signature.  A covariance
+    or vector file without body lines is refused, as is a `# kind:` other
+    than the one `header` expects.
     """
     signature = None
     lineno = 0
@@ -131,7 +133,16 @@ def _parse_lines(text: str, header: _HeaderState, body) -> tuple[FaceSignature |
         if signature is None:
             signature = header.signature(lineno)
         body(signature, line, lineno)
-    return signature, lineno
+    kind = header.expected_kind
+    if signature is None:
+        if header.number_name != "degree":
+            raise ParseError(f"empty {kind} file")
+        signature = header.signature(lineno)
+    # a file without '# kind:' is of the kind its reader expects, except that
+    # a cumulant table must say so: a moment table has the same body lines
+    if (header.kind or ("moments" if kind == "cumulants" else kind)) != kind:
+        raise ParseError(f"expected a {kind} table, got kind {header.kind!r}")
+    return signature
 
 
 def _parse_letter(text: str, signature: FaceSignature, lineno: int) -> Letter:
@@ -170,6 +181,8 @@ def _parse_word(text: str, signature: FaceSignature, lineno: int,
     text = text.strip()
     if text == "()":
         return ()
+    if not text:
+        raise ParseError("empty key; the empty word is written '()'", lineno)
     tokens = text.split()
     for tok in tokens:
         if tok not in letters:
@@ -177,8 +190,10 @@ def _parse_word(text: str, signature: FaceSignature, lineno: int,
     return tuple(map(letters.__getitem__, tokens))
 
 
-def _parse_table(text: str, kind: str):
-    header = _HeaderState(kind, "degree")
+def _parse_table(text: str, kind: str, number: str | None):
+    """(signature, `number` header, word -> scalar) of a moment, cumulant
+    or covariance file."""
+    header = _HeaderState(kind, number)
     entries: dict[Word, GaussianRational] = {}
     letters: dict[str, Letter] = {}
     # like `letters`, for scalar texts: only texts that parsed are stored
@@ -196,22 +211,26 @@ def _parse_table(text: str, kind: str):
             raise ParseError(f"duplicate entry for word {format_word(word)}", lineno)
         entries[word] = value
 
-    signature, lineno = _parse_lines(text, header, body)
-    if signature is None:
-        signature = header.signature(lineno)
-    if (header.kind or "moments") != kind:
-        raise ParseError(f"expected a {kind} table, got kind {header.kind!r}")
+    signature = _parse_lines(text, header, body)
     return signature, header.number, entries
 
 
 def parse_distribution(text: str) -> Distribution:
-    signature, degree, entries = _parse_table(text, "moments")
+    signature, degree, entries = _parse_table(text, "moments", "degree")
     return Distribution(signature, degree, entries)
 
 
 def parse_cumulant_table(text: str) -> CumulantTable:
-    signature, degree, entries = _parse_table(text, "cumulants")
+    signature, degree, entries = _parse_table(text, "cumulants", "degree")
     return CumulantTable(signature, degree, entries)
+
+
+def parse_covariance(text: str) -> CovarianceSpec:
+    signature, _, entries = _parse_table(text, "covariance", None)
+    for word in entries:
+        if len(word) != 2:
+            raise ParseError(f"covariance entry {format_word(word)} is not a pair of letters")
+    return CovarianceSpec(signature, entries)
 
 
 def _emit_headers(signature: FaceSignature, kind: str | None, *extra: str) -> list[str]:
@@ -236,53 +255,30 @@ def _word_texts(signature: FaceSignature, degree: int):
         yield word, " ".join([texts[letter] for letter in word]) if word else "()"
 
 
-def format_distribution(dist: Distribution) -> str:
-    lines = _emit_headers(dist.signature, None, f"# degree: {dist.degree}")
-    for word, text in _word_texts(dist.signature, dist.degree):
-        lines.append(f"{text} : {format_scalar(dist.moments[word])}")
+def _format_table(lines: list[str], signature: FaceSignature, degree: int,
+                  values, shortest: int) -> str:
+    """The header `lines`, then 'WORD : SCALAR' for every word of length
+    `shortest` to `degree`."""
+    # words come in graded order, so the shorter ones come first
+    words = itertools.islice(_word_texts(signature, degree), signature.word_count(shortest - 1),
+                             None)
+    lines.extend(f"{text} : {format_scalar(values[word])}" for word, text in words)
     return "\n".join(lines) + "\n"
+
+
+def format_distribution(dist: Distribution) -> str:
+    headers = _emit_headers(dist.signature, None, f"# degree: {dist.degree}")
+    return _format_table(headers, dist.signature, dist.degree, dist.moments, 0)
 
 
 def format_cumulant_table(table: CumulantTable) -> str:
-    lines = _emit_headers(table.signature, "cumulants", f"# degree: {table.degree}")
-    for word, text in _word_texts(table.signature, table.degree):
-        if word:
-            lines.append(f"{text} : {format_scalar(table.values[word])}")
-    return "\n".join(lines) + "\n"
+    headers = _emit_headers(table.signature, "cumulants", f"# degree: {table.degree}")
+    return _format_table(headers, table.signature, table.degree, table.values, 1)
 
 
 def format_covariance(cov: CovarianceSpec) -> str:
-    lines = _emit_headers(cov.signature, "covariance")
-    alphabet = cov.signature.letters()
-    for u in alphabet:
-        for v in alphabet:
-            lines.append(
-                f"{format_letter(u)} {format_letter(v)} : {format_scalar(cov.c[(u, v)])}"
-            )
-    return "\n".join(lines) + "\n"
-
-
-def parse_covariance(text: str) -> CovarianceSpec:
-    header = _HeaderState("covariance", None)
-    c = {}
-
-    def body(signature, line, lineno):
-        pair_text, _, scalar_text = line.rpartition(":")
-        tokens = pair_text.split()
-        if len(tokens) != 2:
-            raise ParseError("expected 'LETTER LETTER : SCALAR'", lineno)
-        u = _parse_letter(tokens[0], signature, lineno)
-        v = _parse_letter(tokens[1], signature, lineno)
-        if (u, v) in c:
-            raise ParseError("duplicate covariance entry", lineno)
-        c[(u, v)] = _parse_scalar(scalar_text, lineno)
-
-    signature, _ = _parse_lines(text, header, body)
-    if signature is None:
-        raise ParseError("empty covariance file")
-    if (header.kind or "covariance") != "covariance":
-        raise ParseError(f"expected a covariance table, got kind {header.kind!r}")
-    return CovarianceSpec(signature, c)
+    headers = _emit_headers(cov.signature, "covariance")
+    return _format_table(headers, cov.signature, 2, cov.c, 2)
 
 
 def format_vector_spec(spec: VectorSpec) -> str:
@@ -301,25 +297,25 @@ def parse_vector_spec(text: str) -> VectorSpec:
     header = _HeaderState("vectors", "dim")
     h: dict = {}
     h_star: dict = {}
+    letters: dict[str, Letter] = {}
 
     def body(signature, line, lineno):
-        m = _VECTOR_ROW_RE.match(line)
-        if m is None:
+        key_text, _, values_text = line.rpartition(":")
+        key_text = key_text.strip()
+        starred = key_text.endswith("*")
+        word = _parse_word(key_text.removesuffix("*"), signature, lineno, letters)
+        if len(word) != 1 or word[0].star:
             raise ParseError("expected 'LETTER[*] : v1 v2 ...'", lineno)
-        letter = _parse_letter(m.group(1), signature, lineno)
-        starred = m.group(2) is not None
-        vec = tuple(_parse_scalar(tok, lineno) for tok in m.group(3).split())
+        vec = tuple(_parse_scalar(m.group(), lineno)
+                    for m in SCALAR_TOKEN_RE.finditer(values_text))
         if len(vec) != header.number:
             raise ParseError(f"expected {header.number} coordinates", lineno)
+        letter = word[0]
         key = (letter.family, letter.side, letter.index)
         target = h_star if starred else h
         if key in target:
             raise ParseError("duplicate vector row", lineno)
         target[key] = vec
 
-    signature, _ = _parse_lines(text, header, body)
-    if signature is None:
-        raise ParseError("empty vector file")
-    if (header.kind or "vectors") != "vectors":
-        raise ParseError(f"expected a vector table, got kind {header.kind!r}")
+    signature = _parse_lines(text, header, body)
     return VectorSpec(signature, header.number, h, h_star)

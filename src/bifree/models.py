@@ -130,26 +130,14 @@ class _FockWalk(Dilation):
         return ZERO if value is None else self.scalar(value, self.dilation ** (k // 2))
 
 
-def fock_moment(spec: VectorSpec, word: Word) -> GaussianRational:
-    """Vacuum expectation of the operator word z_{w_1} ... z_{w_n}.
+def fock_distribution(spec: VectorSpec, degree: int) -> Distribution:
+    """Vacuum expectations of the operator words z_{w_1} ... z_{w_n} up to
+    `degree`.
 
     A left-face letter acts as creation plus annihilation on the leading
     tensor slot, a right-face letter on the trailing slot; a starred letter
-    swaps its creation and annihilation vectors.  Each call builds the
-    whole walk, about 1 ms a word on a 6-letter spec, so code that tabulates
-    many words should call `fock_distribution`.
+    swaps its creation and annihilation vectors.
     """
-    for letter in word:
-        spec.signature.validate_letter(letter)
-    walk = _FockWalk(spec)
-    carried = walk.start
-    for letter in reversed(word):
-        carried = walk.step(letter, carried)
-    return walk.read(carried)
-
-
-def fock_distribution(spec: VectorSpec, degree: int) -> Distribution:
-    """fock_moment of every word up to `degree`."""
     walk = _FockWalk(spec)
     return tabulate(spec.signature, degree, walk.start, walk.step, walk.read)
 

@@ -190,9 +190,12 @@ def qi(re_num, re_den=1, im_num=0, im_den=1) -> GaussianRational:
 
 
 _RAT = r"-?\d+(?:/\d+)?"
-_SCALAR_RE = _re.compile(
-    rf"^(?:(?P<re>{_RAT})(?:\s*(?P<sign>[+-])\s*(?P<im>{_RAT})\s*i)?|(?P<imonly>{_RAT})\s*i)$"
-)
+_SCALAR = rf"(?P<imonly>{_RAT})\s*i|(?P<re>{_RAT})(?:\s*(?P<sign>[+-])\s*(?P<im>{_RAT})\s*i)?"
+_SCALAR_RE = _re.compile(rf"^(?:{_SCALAR})$")
+# One token of a blank-separated run of scalars: a whole scalar, blanks
+# inside a complex one included, or else a run of non-blanks, which
+# `parse_scalar` then refuses.
+SCALAR_TOKEN_RE = _re.compile(rf"(?:{_SCALAR})(?!\S)|\S+")
 
 
 def _parse_rat(text: str):

@@ -96,32 +96,20 @@ class FaceSignature:
                         out.append(Letter(fam.family, side, index, True))
         return tuple(out)
 
-    def letter_order(self) -> dict[Letter, int]:
-        return {letter: i for i, letter in enumerate(self.letters())}
-
     def word_count(self, degree: int) -> int:
+        """The number of words of degree <= `degree` (0 for degree -1)."""
         n = len(self.letters())
-        return sum(n**k for k in range(degree + 1))
+        if n == 1:
+            return degree + 1
+        return (n ** (degree + 1) - 1) // (n - 1)
 
     def words(self, max_degree: int) -> Iterator[Word]:
         """All words of degree <= max_degree in graded-lex order."""
         alphabet = self.letters()
-        for n in range(max_degree + 1):
-            yield from itertools.product(alphabet, repeat=n)
-
-    def validate_letter(self, letter: Letter) -> None:
-        fam = self.family_faces(letter.family)
-        face = fam.left if letter.side == LEFT else fam.right
-        if letter.side not in (LEFT, RIGHT) or letter.index not in face:
-            raise SignatureError(f"letter {format_letter(letter)} not declared on its face")
-        if letter.star and not fam.star_closed:
-            raise SignatureError(
-                f"starred letter {format_letter(letter)} in a family without star closure"
-            )
-
-    def word_key(self, word: Word):
-        order = self.letter_order()
-        return (len(word), tuple(order[letter] for letter in word))
+        yield ()
+        if alphabet:
+            for n in range(1, max_degree + 1):
+                yield from itertools.product(alphabet, repeat=n)
 
     def restrict(self, families: Iterable) -> FaceSignature:
         wanted = list(families)

@@ -1,5 +1,5 @@
 import pytest
-from util import rand_dist
+from util import rand_dist, rand_scalar
 
 from bifree.cli import main
 from bifree.dist import Distribution
@@ -8,7 +8,7 @@ from bifree.io import (format_covariance, format_distribution, format_vector_spe
                        parse_distribution)
 from bifree.models import CovarianceSpec, VectorSpec, gram_psd_check
 from bifree.scalars import ONE, ZERO, qi
-from bifree.words import LEFT, RIGHT, Letter, format_word, two_faced
+from bifree.words import LEFT, RIGHT, FaceSignature, FamilyFaces, Letter, format_word, two_faced
 
 SIG = two_faced(left=("a",), right=("c",), family=1)
 A = Letter(1, LEFT, "a")
@@ -173,6 +173,21 @@ def test_fock_compare(tmp_path):
     assert table.moment((A, C, A, C)) == qi(2)
 
 
+def test_fock_compare_reads_back_complex_vectors(tmp_path, rng):
+    # complex coordinates are written "p/q + r/s i", blanks included
+    sig = FaceSignature(tuple(FamilyFaces(f, ("a",), ("b",), True) for f in (1, 2)))
+    keys = [(l.family, l.side, l.index) for l in sig.letters() if not l.star]
+    h, h_star = ({k: tuple(rand_scalar(rng, True) for _ in range(2)) for k in keys}
+                 for _ in range(2))
+    vec_path = tmp_path / "v.spec"
+    vec_path.write_text(format_vector_spec(VectorSpec(sig, 2, h, h_star)))
+    assert " + " in vec_path.read_text() or " - " in vec_path.read_text()
+    out = tmp_path / "fock.dist"
+    assert main(["fock", "--vectors", str(vec_path), "--degree", "4",
+                 "--compare", "--out", str(out)]) == 0
+    assert any(not v.is_real for v in parse_distribution(out.read_text()).moments.values())
+
+
 def test_group_example_subcommand(tmp_path):
     out = tmp_path / "g.dist"
     assert main(["group-example", "--orders", "2,3", "--degree", "3", "--out", str(out)]) == 0
@@ -277,3 +292,40 @@ def test_csv_format_output(tmp_path, mu_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "word,moment,decimal"
     assert lines[1].startswith('"()","1"')
+
+
+def test_empty_signature_at_a_huge_degree_returns_at_once(tmp_path, capsys):
+    # no letters, so the only word is (); nothing may scale with the degree
+    path = tmp_path / "empty.dist"
+    path.write_text("# star: no\n# degree: 1000000000\n() : 1\n")
+    assert main(["cumulants", "--in", str(path)]) == 0
+    assert capsys.readouterr().out == "# star: no\n# degree: 1000000000\n# kind: cumulants\n"
+
+
+VEC_HEAD = "# family 1 left: a\n# star: no\n# dim: {dim}\n"
+
+
+@pytest.mark.parametrize("command, flag, text, message", [
+    ("fock", "--vectors", VEC_HEAD.format(dim=1) + "1.a : 1 +\n1.a* : 1\n",
+     "line 4: malformed scalar '+'"),
+    ("fock", "--vectors", VEC_HEAD.format(dim=1) + "1.a : 1 x\n1.a* : 1\n",
+     "line 4: malformed scalar 'x'"),
+    ("fock", "--vectors", VEC_HEAD.format(dim=2) + "1.a : 1 1/0\n1.a* : 1 0\n",
+     "line 4: zero denominator in scalar '1/0'"),
+    ("fock", "--vectors", VEC_HEAD.format(dim=2) + "1.a : 1 0\n1.a* : 0/1 + 1/1 i\n",
+     "line 5: expected 2 coordinates"),
+    ("fock", "--vectors", VEC_HEAD.format(dim=1) + "1.a 1.a : 1\n1.a* : 1\n",
+     "line 4: expected 'LETTER[*] : v1 v2 ...'"),
+    ("fock", "--vectors", VEC_HEAD.format(dim=1), "empty vectors file"),
+    ("gaussian", "--cov", "# family 1 left: a\n# star: no\n1.a : 1\n",
+     "covariance entry 1.a is not a pair of letters"),
+    ("gaussian", "--cov", "# family 1 left: a\n# star: no\n", "empty covariance file"),
+    ("moments", "--in", "# family 1 left: a\n# star: no\n# degree: 1\n1.a : 1\n",
+     "expected a cumulants table, got kind None"),
+])
+def test_malformed_input_is_refused_with_exit_two(tmp_path, capsys, command, flag, text,
+                                                  message):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    assert main([command, flag, str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from util import rand_dist
 
 from bifree.cumulant import cumulants_from_moments
-from bifree.dist import Distribution, group_families, point_distribution
+from bifree.dist import CumulantTable, Distribution, group_families, point_distribution
 from bifree.engine import bifree_product
 from bifree.errors import (DomainError, IncompleteTableError, NormalizationError,
                            ParseError, SignatureError)
@@ -16,7 +16,8 @@ from bifree.io import (format_covariance, format_cumulant_table, format_distribu
                        parse_distribution, parse_vector_spec)
 from bifree.models import CovarianceSpec, VectorSpec
 from bifree.scalars import ONE, GaussianRational, format_scalar, qi
-from bifree.words import LEFT, RIGHT, FaceSignature, Letter, format_word, two_faced
+from bifree.words import (LEFT, RIGHT, FaceSignature, FamilyFaces, Letter, format_word,
+                          two_faced)
 
 MINIMAL = """\
 # family 1 left: a
@@ -120,6 +121,55 @@ def test_any_rational_table_round_trips(values):
     assert parse_distribution(format_distribution(dist)) == dist
 
 
+_SCALARS = st.builds(GaussianRational, st.fractions(max_denominator=20),
+                     st.fractions(max_denominator=20))
+
+
+@st.composite
+def _star_closed_signatures(draw):
+    families = []
+    for fid in draw(st.lists(st.sampled_from((1, 2, "g")), min_size=1, max_size=2, unique=True)):
+        # indices may hold ':', which every body line splits at its last one of
+        indices = draw(st.lists(st.text("ab:1", min_size=1, max_size=3), min_size=1,
+                                max_size=2, unique=True))
+        cut = draw(st.integers(0, len(indices)))
+        families.append(FamilyFaces(fid, tuple(indices[:cut]), tuple(indices[cut:]), True))
+    return FaceSignature(tuple(families))
+
+
+def _vector_spec(sig, values, dim):
+    keys = [(l.family, l.side, l.index) for l in sig.letters() if not l.star]
+    h, h_star = ({k: tuple(next(values) for _ in range(dim)) for k in keys} for _ in range(2))
+    return VectorSpec(sig, dim, h, h_star)
+
+
+# builders from a signature, an endless supply of scalars and a vector dimension
+_KINDS = {
+    "moments": (lambda sig, values, _: Distribution(
+        sig, 2, {w: next(values) if w else ONE for w in sig.words(2)}),
+        format_distribution, parse_distribution),
+    "cumulants": (lambda sig, values, _: CumulantTable(
+        sig, 2, {w: next(values) for w in sig.words(2) if w}),
+        format_cumulant_table, parse_cumulant_table),
+    "covariance": (lambda sig, values, _: CovarianceSpec(
+        sig, {pair: next(values) for pair in itertools.product(sig.letters(), repeat=2)}),
+        format_covariance, parse_covariance),
+    "vectors": (_vector_spec, format_vector_spec, parse_vector_spec),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+@given(sig=_star_closed_signatures(), scalars=st.lists(_SCALARS, min_size=1, max_size=7),
+       dim=st.integers(1, 3))
+def test_every_kind_round_trips_with_complex_values(kind, sig, scalars, dim):
+    build, format_, parse = _KINDS[kind]
+    table = build(sig, itertools.cycle(scalars), dim)
+    text = format_(table)
+    again = parse(text)
+    assert again == table
+    assert format_(again) == text
+
+
 def test_missing_word_names_first_in_graded_lex():
     text = MINIMAL.replace("1.a : 1/2\n", "")
     with pytest.raises(IncompleteTableError) as err:
@@ -145,6 +195,9 @@ def test_parse_rejects_undeclared_letter():
         parse_distribution(MINIMAL.replace("1.a :", "2.a :"))
     with pytest.raises(ParseError):
         parse_distribution(MINIMAL.replace("1.a :", "1.a* :"))
+    # an empty key is no word, not even the empty one
+    with pytest.raises(ParseError, match=r"^line 4: empty key; the empty word is written '\(\)'"):
+        parse_distribution(MINIMAL.replace("() : 1", " : 1"))
 
 
 def test_undeclared_letter_after_parsed_tokens_names_its_line():

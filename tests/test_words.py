@@ -26,8 +26,23 @@ def test_enumeration_is_graded_lex_bijection(star_sig):
     n = len(star_sig.letters())
     assert len(words) == star_sig.word_count(3) == sum(n**k for k in range(4))
     assert len(set(words)) == len(words)
-    keys = [star_sig.word_key(w) for w in words]
+    position = {letter: i for i, letter in enumerate(star_sig.letters())}
+    keys = [(len(w), [position[letter] for letter in w]) for w in words]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("indices", [(), ("a",), ("a", "b"), ("a", "b", "c")])
+def test_word_count_is_the_length_of_the_enumeration(indices):
+    sig = two_faced(left=indices, family=1)
+    for degree in range(5):
+        assert sig.word_count(degree) == len(list(sig.words(degree)))
+    assert sig.word_count(-1) == 0
+
+
+def test_empty_signature_has_only_the_empty_word_at_any_degree():
+    sig = FaceSignature()
+    assert list(sig.words(10**9)) == [()]
+    assert sig.word_count(10**9) == 1
 
 
 def test_word_star_involution(star_sig):
@@ -85,15 +100,6 @@ def test_index_no_letter_text_can_name_is_refused(index):
         two_faced(left=("a",), right=(index,), family="x.y")
     # dots in the family id stay allowed: the letter parser splits at the last one
     assert two_faced(left=("a",), family="x.y").letters()[0].index == "a"
-
-
-def test_validate_letter(star_sig):
-    star_sig.validate_letter(Letter(1, LEFT, "a", True))
-    with pytest.raises(SignatureError):
-        star_sig.validate_letter(Letter(1, RIGHT, "a"))
-    plain = two_faced(left=("a",), family=2)
-    with pytest.raises(SignatureError):
-        plain.validate_letter(Letter(2, LEFT, "a", star=True))
 
 
 def test_format_word(star_sig):
