@@ -183,9 +183,10 @@ def _run(args) -> int:
         spec = parse_vector_spec(_read(args.vectors))
         degree = _degree_or(args, 2)
         table = fock_distribution(spec, degree)
+        # built before writing, so an input error leaves no output
+        expected = gaussian_dist(covariance_from_vectors(spec), degree) if args.compare else None
         _write(args.out, _dist_output(table, args.format))
         if args.compare:
-            expected = gaussian_dist(covariance_from_vectors(spec), degree)
             mismatches = [
                 w for w in spec.signature.words(degree)
                 if table.moments[w] != expected.moments[w]

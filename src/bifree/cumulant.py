@@ -10,8 +10,9 @@ word contributes kappa(w) itself, so walking the words in graded order
 solves that one identity for the cumulant or for the moment alike.
 
 Every term of the identity for w has total length |w|, so it holds as well
-for the tables dilated by D^|w| (`scalars.Dilation`): the recursion runs on
-integers and divides once per word.
+for the tables dilated by D^|w|: the recursion reads each given value as
+`Dilation.dilated(v, |w|)`, runs on integers, and divides each solved word
+once with `Dilation.scalar(v, |w|)`.
 """
 
 from __future__ import annotations
@@ -68,16 +69,13 @@ def _solve(signature, degree: int, given: dict,
     tables dilated by D^|w|; each word is divided once at the end."""
     words = [w for w in signature.words(degree) if w]
     dil = Dilation(given[w] for w in words)
-    # graded order: the last word is a longest one, however high `degree` is
-    longest = len(words[-1]) if words else 0
-    powers = [dil.dilation**k for k in range(longest + 1)]
-    known = {w: dil.dilated(given[w], powers[len(w)]) for w in words}
+    known = {w: dil.dilated(given[w], len(w)) for w in words}
     solved: dict = {}
     kappa, mu = (solved, known) if given_moments else (known, solved)
     for w in words:
         lower = _lower_terms(w, kappa, mu, dil.zero)
         solved[w] = known[w] - lower if given_moments else known[w] + lower
-    return {w: dil.scalar(v, powers[len(w)]) for w, v in solved.items()}
+    return {w: dil.scalar(v, len(w)) for w, v in solved.items()}
 
 
 def cumulants_from_moments(mu: Distribution, degree: int) -> CumulantTable:

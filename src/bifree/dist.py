@@ -103,60 +103,56 @@ class CumulantTable:
 
 def tabulate(signature: FaceSignature, degree: int, start,
              step: Callable[[Letter, object], object],
-             read: Callable[[object], GaussianRational]) -> Distribution:
+             read: Callable[[object, int], GaussianRational]) -> Distribution:
     """Distribution of the operators that act letter by letter on a state.
 
     The state of the empty word is `start` and the state of
     `(letter,) + w` is `step(letter, state of w)`, so a word's letters act
-    right to left; the moment of `w` is `read(state of w)`, and
-    `read(start)` must be 1.  Words sharing a suffix share the whole
-    evaluation of that suffix, so the walk costs one step per word.
+    right to left; the moment of a word of n letters is `read(its state,
+    n)`, and `read(start, 0)` must be 1, so no state carries its depth.
+    Words sharing a suffix share the whole evaluation of that suffix, so
+    the walk costs one step per word.
     """
     alphabet = signature.letters()
-    moments = {(): read(start)}
+    moments = {(): read(start, 0)}
 
-    def extend(state, word: Word, remaining: int) -> None:
+    def extend(state, word: Word, length: int) -> None:
         for letter in alphabet:
             grown = step(letter, state)
             longer = (letter,) + word
-            moments[longer] = read(grown)
-            if remaining > 1:
-                extend(grown, longer, remaining - 1)
+            moments[longer] = read(grown, length)
+            if length < degree:
+                extend(grown, longer, length + 1)
 
     if degree >= 1:
-        extend(start, (), degree)
+        extend(start, (), 1)
     return Distribution(signature, degree, moments)
 
 
 def point_distribution(signature: FaceSignature, degree: int) -> Distribution:
     """All nonempty moments zero: the neutral element of additive convolution."""
-    return tabulate(signature, degree, ONE, lambda letter, m: ZERO, lambda m: m)
+    return tabulate(signature, degree, ONE, lambda letter, m: ZERO, lambda m, n: m)
 
 
 def ones_distribution(signature: FaceSignature, degree: int) -> Distribution:
     """Every moment 1: constant-1 variables, neutral for multiplicative convolution."""
-    return tabulate(signature, degree, ONE, lambda letter, m: m, lambda m: m)
+    return tabulate(signature, degree, ONE, lambda letter, m: m, lambda m, n: m)
 
 
-def group_families(dist: Distribution, family, namer=None) -> Distribution:
+def group_families(dist: Distribution, family) -> Distribution:
     """View a multi-family distribution as a single two-faced family.
 
     Left faces are pooled into one left face, right faces into one right
-    face; indices are renamed `namer(old_family, index)` (default
-    "<family>:<index>") to stay unique.
+    face; index i of family f is renamed "f:i" to stay unique.
     """
-    if namer is None:
-        def namer(fid, index):
-            return f"{fid}:{index}"
-
     left, right = [], []
     star = dist.signature.star_closed
     for fam in dist.signature.families:
-        left.extend(namer(fam.family, i) for i in fam.left)
-        right.extend(namer(fam.family, i) for i in fam.right)
+        left.extend(f"{fam.family}:{i}" for i in fam.left)
+        right.extend(f"{fam.family}:{i}" for i in fam.right)
     signature = FaceSignature((FamilyFaces(family, tuple(left), tuple(right), star),))
     moments = {
-        tuple(Letter(family, l.side, namer(l.family, l.index), l.star) for l in w): v
+        tuple(Letter(family, l.side, f"{l.family}:{l.index}", l.star) for l in w): v
         for w, v in dist.moments.items()
     }
     return Distribution(signature, dist.degree, moments)

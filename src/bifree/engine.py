@@ -215,27 +215,19 @@ class _EvalContext(Dilation):
 
     D (`dilation`) is the lcm of the real and imaginary denominators of every
     moment of every constituent.  `blocks` reads constituent t's own moment
-    table and holds the moment of a block word w as D^|w|*mu_t(w): a bare
-    int when every moment is real, a GaussianRational with int components
-    otherwise.  `_apply_step` only adds, multiplies and negates, and every
-    summand it forms carries the same power of D, so a vacuum coefficient
-    computed from these blocks is the dilated moment; `scalar` divides it by
-    its scale.  `blocks` serves every walk of the context.
+    table and holds the moment of a block word w as `dilated(mu_t(w), |w|)`,
+    that is D^|w|*mu_t(w): a bare int when every moment is real, a
+    GaussianRational with int components otherwise.  `_apply_step` only
+    adds, multiplies and negates, and every summand it forms carries the same
+    power of D, so the vacuum coefficient after k steps from the unit is D^k
+    times the rational one, which `scalar(value, k)` divides out.  `blocks`
+    serves every walk of the context.
     """
 
     def __init__(self, constituents: Sequence[Distribution]):
         dists = dict(enumerate(constituents))
         super().__init__(v for d in dists.values() for v in d.moments.values())
-        self.blocks = _Blocks(
-            dists, lambda value, length: self.dilated(value, self.dilation ** length))
-
-
-def _eval_steps(ctx: _EvalContext, steps: Sequence) -> GaussianRational:
-    """Vacuum coefficient of (product of step operators) applied to the unit."""
-    state = {(): ctx.one}
-    for step in reversed(steps):
-        state = _apply_step(state, step, ctx.blocks)
-    return ctx.scalar(state.get((), ctx.zero), ctx.dilation ** len(steps))
+        self.blocks = _Blocks(dists, self.dilated)
 
 
 def _build_table(ctx: _EvalContext, signature: FaceSignature,
@@ -244,22 +236,23 @@ def _build_table(ctx: _EvalContext, signature: FaceSignature,
 
     letter_steps maps each output letter to the operator steps it denotes
     (several steps mean an operator product, applied right to left; each
-    step is a sum of elementary letter actions).  Each step is dilated by
-    D, so the walk carries beside each state its scale, the product of
-    D^len(letter_steps[letter]) over the word's letters.
+    step is a sum of elementary letter actions).  Every letter takes the
+    same number of steps, the width: 1 for `bifree_product` and additive
+    convolution, 2 for multiplicative convolution.  The walk's state is the
+    bare dict of dilated coefficients; a word of n letters has taken
+    width*n steps, so its moment is the vacuum coefficient over D^(width*n).
     """
     blocks = ctx.blocks
     zero = ctx.zero
-    growth = {letter: ctx.dilation ** len(steps) for letter, steps in letter_steps.items()}
+    (width,) = {len(steps) for steps in letter_steps.values()} or {0}
 
-    def step(letter, carried):
-        state, scale = carried
+    def step(letter, state):
         for s in reversed(letter_steps[letter]):
             state = _apply_step(state, s, blocks)
-        return state, scale * growth[letter]
+        return state
 
-    return tabulate(signature, degree, ({(): ctx.one}, 1), step,
-                    lambda carried: ctx.scalar(carried[0].get((), zero), carried[1]))
+    return tabulate(signature, degree, {(): ctx.one}, step,
+                    lambda state, n: ctx.scalar(state.get((), zero), width * n))
 
 
 # ---------------------------------------------------------------------------
@@ -300,20 +293,19 @@ def apply_right(family, letter: Letter, state: TensorState,
     return _apply_side(False, family, letter, state, marginal)
 
 
-def _word_steps(ctx: _EvalContext, tag_of: Mapping, word: Word):
+def joint_moment(marginals: Mapping[object, Distribution], word: Word) -> GaussianRational:
+    """Moment of `word` under the bi-free joint distribution of the marginals."""
+    ctx = _EvalContext(list(marginals.values()))
+    tag_of = {family: i for i, family in enumerate(marginals)}
     steps = []
     for letter in word:
         if letter.family not in tag_of:
             raise DomainError(f"no marginal given for family {letter.family!r}")
         steps.append((ctx.blocks.summand(tag_of[letter.family], letter),))
-    return steps
-
-
-def joint_moment(marginals: Mapping[object, Distribution], word: Word) -> GaussianRational:
-    """Moment of `word` under the bi-free joint distribution of the marginals."""
-    ctx = _EvalContext(list(marginals.values()))
-    tag_of = {family: i for i, family in enumerate(marginals)}
-    return _eval_steps(ctx, _word_steps(ctx, tag_of, word))
+    state = {(): ctx.one}
+    for step in reversed(steps):
+        state = _apply_step(state, step, ctx.blocks)
+    return ctx.scalar(state.get((), ctx.zero), len(word))
 
 
 def bifree_product(marginals: Sequence[Distribution], degree: int) -> Distribution:

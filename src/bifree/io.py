@@ -40,8 +40,15 @@ _NUMBER_RE = re.compile(r"^#\s*(degree|dim)\s*:\s*(\d+)\s*$")
 _LETTER_RE = re.compile(r"^(.+?)\.([^.*]+)(\*)?$")
 
 
-def _family_id(text: str):
-    return int(text) if text.isascii() and text.isdigit() else text
+def _number(text: str, lineno: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # int() refuses a run of digits past the interpreter's limit
+        raise ParseError("too many digits in a number", lineno) from None
+
+
+def _family_id(text: str, lineno: int):
+    return _number(text, lineno) if text.isascii() and text.isdigit() else text
 
 
 class _HeaderState:
@@ -60,7 +67,7 @@ class _HeaderState:
 
     def feed(self, line: str, lineno: int) -> None:
         if m := _FACE_RE.match(line):
-            fid = _family_id(m.group(1))
+            fid = _family_id(m.group(1), lineno)
             side, indices = m.group(2), tuple(m.group(3).split())
             try:
                 for index in indices:
@@ -85,7 +92,7 @@ class _HeaderState:
                 )
             if self.number is not None:
                 raise ParseError(f"duplicate {name} header", lineno)
-            self.number = int(m.group(2))
+            self.number = _number(m.group(2), lineno)
         elif m := _KIND_RE.match(line):
             if self.kind is not None:
                 raise ParseError("duplicate kind header", lineno)
@@ -149,7 +156,7 @@ def _parse_letter(text: str, signature: FaceSignature, lineno: int) -> Letter:
     m = _LETTER_RE.match(text)
     if m is None:
         raise ParseError(f"malformed letter {text!r}", lineno)
-    fid = _family_id(m.group(1))
+    fid = _family_id(m.group(1), lineno)
     index, star = m.group(2), m.group(3) is not None
     try:
         faces = signature.family_faces(fid)
@@ -287,7 +294,7 @@ def format_vector_spec(spec: VectorSpec) -> str:
         if letter.star:
             continue
         key = (letter.family, letter.side, letter.index)
-        base = f"{letter.family}.{letter.index}"
+        base = format_letter(letter)
         lines.append(f"{base} : " + " ".join(format_scalar(x) for x in spec.h[key]))
         lines.append(f"{base}* : " + " ".join(format_scalar(x) for x in spec.h_star[key]))
     return "\n".join(lines) + "\n"

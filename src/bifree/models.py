@@ -19,7 +19,7 @@ from typing import Callable, Mapping
 
 from .cumulant import moments_from_cumulants
 from .dist import CumulantTable, Distribution, tabulate
-from .errors import DomainError
+from .errors import DomainError, TruncationError
 from .scalars import ONE, ZERO, Dilation, GaussianRational, format_scalar
 from .words import (LEFT, FaceSignature, FamilyFaces, Letter, Word,
                     format_letter, format_word, word_star)
@@ -82,9 +82,9 @@ class _FockWalk(Dilation):
     annihilation only reads <slot vector, annihilation vector>, so each
     letter carries that inner product for every interned vector, dilated by
     D, the lcm of the denominators of all these tables: the state runs on
-    integers.  Beside the state the walk carries its letter count k.  Each
-    annihilation multiplies by D, and the vacuum term of k letters has had
-    k/2 of them, so its moment is that term over D^(k/2).
+    integers.  The state is the bare dict.  Each annihilation multiplies by
+    D, and the vacuum term of a word of n letters has had n/2 of them, so
+    `read` divides it by D^(n//2).
     """
 
     def __init__(self, spec: VectorSpec):
@@ -96,15 +96,14 @@ class _FockWalk(Dilation):
         super().__init__(x for row in rows.values() for x in row)
         self.moves = {
             letter: (letter.side == LEFT, ids[tuple(vectors[letter][0])],
-                     [self.dilated(x, self.dilation) for x in row])
+                     [self.dilated(x, 1) for x in row])
             for letter, row in rows.items()
         }
-        self.start = ({(): self.one}, 0)
+        self.start = {(): self.one}
 
-    def step(self, letter: Letter, carried):
+    def step(self, letter: Letter, state: dict) -> dict:
         """Creation plus annihilation: a left letter prepends its vector id
         or drops the head slot, a right letter does both at the tail."""
-        state, k = carried
         is_left, vid, table = self.moves[letter]
         if is_left:
             out = {(vid,) + key: c for key, c in state.items()}
@@ -121,13 +120,12 @@ class _FockWalk(Dilation):
                     out[shorter] = value
                 else:
                     del out[shorter]
-        return out, k + 1
+        return out
 
-    def read(self, carried) -> GaussianRational:
-        """The vacuum term over D^(k/2); odd words have none and read ZERO."""
-        state, k = carried
+    def read(self, state: dict, n: int) -> GaussianRational:
+        """The vacuum term over D^(n//2); odd words have none and read ZERO."""
         value = state.get(())
-        return ZERO if value is None else self.scalar(value, self.dilation ** (k // 2))
+        return ZERO if value is None else self.scalar(value, n // 2)
 
 
 def fock_distribution(spec: VectorSpec, degree: int) -> Distribution:
@@ -229,7 +227,7 @@ def gram_psd_check(mu: Distribution, degree: int) -> PsdResult:
     if degree < 2:
         raise DomainError("positivity check needs degree >= 2")
     if mu.degree < degree:
-        raise DomainError(f"moment table degree {mu.degree} below requested {degree}")
+        raise TruncationError(f"moment table degree {mu.degree} below requested {degree}")
     basis = list(mu.signature.words(degree // 2))
     n = len(basis)
     moments = mu.moments
@@ -335,4 +333,4 @@ def group_example_dist(orders, degree: int) -> Distribution:
         return element + ((g, 1),)
 
     return tabulate(signature, degree, (), step,
-                    lambda element: ZERO if element else ONE)
+                    lambda element, n: ZERO if element else ONE)

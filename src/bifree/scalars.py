@@ -149,11 +149,12 @@ class Dilation:
     """Exact values scaled onto the integers.
 
     D (`dilation`) is the lcm of the real and imaginary denominators of
-    `values`.  A dilated value is an int when every one of `values` is real,
-    a GaussianRational with int components otherwise; `one` and `zero` are
-    of that type.  Sums and products of dilated values stay integers, so a
-    kernel can run on them and divide once at the end with `scalar`: the
-    engine, the Fock walk and the cumulant recursion do.
+    `values`.  `dilated(v, k)` is D^k*v: an int when every one of `values`
+    is real, a GaussianRational with int components otherwise; `one` and
+    `zero` are of that type.  Sums and products of dilated values stay
+    integers, so a kernel can run on them and divide once at the end with
+    `scalar`: the engine, the Fock walk and the cumulant recursion do.  A
+    kernel names only exponents of D; this class alone computes its powers.
     """
 
     def __init__(self, values):
@@ -163,14 +164,16 @@ class Dilation:
         self.one = 1 if self.real else _new(1, 0)
         self.zero = 0 if self.real else _new(0, 0)
 
-    def dilated(self, value: GaussianRational, scale: int):
-        """scale*value on the integers (Gaussian integers unless all real)."""
+    def dilated(self, value: GaussianRational, exponent: int):
+        """D^exponent*value on the integers (Gaussian integers unless all real)."""
+        scale = self.dilation ** exponent
         if self.real:
             return _dilate(value.re, scale)
         return _new(_dilate(value.re, scale), _dilate(value.im, scale))
 
-    def scalar(self, value, scale: int) -> GaussianRational:
-        """The value whose dilation by `scale` is the integer `value`."""
+    def scalar(self, value, exponent: int) -> GaussianRational:
+        """The value whose dilation by D^exponent is the integer `value`."""
+        scale = self.dilation ** exponent
         if self.real:
             return _new(Fraction(value, scale), _Q0)
         return _new(Fraction(value.re, scale), Fraction(value.im, scale))
@@ -224,6 +227,8 @@ def parse_scalar(text: str) -> GaussianRational:
         return _new(re_part, im_part)
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in scalar {text!r}") from None
+    except ValueError:  # int() refuses a run of digits past the interpreter's limit
+        raise ParseError("too many digits in scalar") from None
 
 
 def format_scalar(value: GaussianRational) -> str:
@@ -238,9 +243,9 @@ def format_scalar(value: GaussianRational) -> str:
     return f"{re_text} {sign} {im_abs.numerator}/{im_abs.denominator} i"
 
 
-def decimal_magnitude(value: GaussianRational, digits: int = 12) -> str:
-    """Deterministic decimal approximation of |value| (no floats)."""
-    scale = 10**digits
+def decimal_magnitude(value: GaussianRational) -> str:
+    """|value| truncated to 12 decimal places (no floats)."""
+    scale = 10**12
     re_, im = value.re, value.im
     if not im:
         num, den = abs(re_).numerator, abs(re_).denominator
@@ -249,4 +254,4 @@ def decimal_magnitude(value: GaussianRational, digits: int = 12) -> str:
         mag2 = re_ * re_ + im * im
         scaled = isqrt(mag2.numerator * scale * scale // mag2.denominator)
     whole, frac = divmod(scaled, scale)
-    return f"{whole}.{frac:0{digits}d}"
+    return f"{whole}.{frac:012d}"

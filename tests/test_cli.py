@@ -188,6 +188,20 @@ def test_fock_compare_reads_back_complex_vectors(tmp_path, rng):
     assert any(not v.is_real for v in parse_distribution(out.read_text()).moments.values())
 
 
+def test_fock_compare_input_error_writes_nothing(tmp_path, capsys):
+    # the Gaussian needs degree >= 2; the Fock table must not be written first
+    spec = VectorSpec(SIG, 1, {(1, LEFT, "a"): (ONE,), (1, RIGHT, "c"): (ONE,)},
+                      {(1, LEFT, "a"): (ONE,), (1, RIGHT, "c"): (ONE,)})
+    vec_path = tmp_path / "v.spec"
+    vec_path.write_text(format_vector_spec(spec))
+    argv = ["fock", "--vectors", str(vec_path), "--degree", "1", "--compare"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: central limit distributions need degree >= 2\n")
+    out = tmp_path / "fock.dist"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_group_example_subcommand(tmp_path):
     out = tmp_path / "g.dist"
     assert main(["group-example", "--orders", "2,3", "--degree", "3", "--out", str(out)]) == 0

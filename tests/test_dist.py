@@ -1,0 +1,25 @@
+from bifree.dist import tabulate
+from bifree.scalars import ONE, ZERO
+from bifree.words import two_faced
+
+
+def test_tabulate_passes_each_word_length_to_read():
+    # the state is the word itself, so every read and step names its word
+    sig = two_faced(left=("a",), right=("b",), family=1, star=True)
+    stepped, lengths = [], {}
+
+    def step(letter, word):
+        stepped.append((letter,) + word)
+        return (letter,) + word
+
+    def read(word, n):
+        lengths[word] = n
+        return ZERO if word else ONE
+
+    dist = tabulate(sig, 3, (), step, read)
+    words = list(sig.words(3))
+    assert lengths == {w: len(w) for w in words}
+    assert lengths[()] == 0
+    # one step per nonempty word: suffixes are shared, never re-walked
+    assert len(stepped) == len(words) - 1 and set(stepped) == set(words[1:])
+    assert dist.moments == {w: ZERO if w else ONE for w in words}

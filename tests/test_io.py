@@ -1,16 +1,19 @@
 import itertools
 import re
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from util import rand_dist
 
+from bifree.cli import main
 from bifree.cumulant import cumulants_from_moments
 from bifree.dist import CumulantTable, Distribution, group_families, point_distribution
 from bifree.engine import bifree_product
-from bifree.errors import (DomainError, IncompleteTableError, NormalizationError,
-                           ParseError, SignatureError)
+from bifree.errors import (BifreeError, DomainError, IncompleteTableError,
+                           NormalizationError, ParseError, SignatureError)
 from bifree.io import (format_covariance, format_cumulant_table, format_distribution,
                        format_vector_spec, parse_covariance, parse_cumulant_table,
                        parse_distribution, parse_vector_spec)
@@ -288,3 +291,58 @@ def test_restrict_and_errors(rng):
     assert empty.moments == {(): ONE}
     with pytest.raises(DomainError):
         dist.restrict((7,))
+
+
+# One valid file of each kind over two star-closed families with complex
+# values, and the subcommand that reads that kind.
+_FUZZ_SIG = FaceSignature((FamilyFaces(1, ("a",), ("c",), True),
+                           FamilyFaces(2, ("x",), (), True)))
+_FUZZ_VALUES = (qi(1, 2, -3, 4), qi(-5, 3), qi(0, 1, 7, 2))
+_FUZZ_TEXTS = {kind: format_(build(_FUZZ_SIG, itertools.cycle(_FUZZ_VALUES), 2))
+               for kind, (build, format_, _) in _KINDS.items()}
+_FUZZ_COMMANDS = {"moments": ("cumulants", "--in"), "cumulants": ("moments", "--in"),
+                  "covariance": ("gaussian", "--cov"), "vectors": ("fock", "--vectors")}
+
+
+@st.composite
+def _mutated_files(draw):
+    kind = draw(st.sampled_from(sorted(_KINDS)))
+    lines = _FUZZ_TEXTS[kind].splitlines(keepends=True)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1)) if lines else 0
+        line = lines[i] if lines else ""
+        at = draw(st.integers(0, len(line)))
+        how = draw(st.sampled_from(("cut line", "cut file", "stray", "/0", "huge")))
+        if how == "cut line":
+            line = line[:at]
+        elif how == "cut file":
+            lines, line = lines[:i], line[:at]
+        elif how == "stray":
+            line = line[:at] + draw(st.sampled_from("*:")) + line[at:]
+        elif how == "/0":
+            line = line[:at] + "/0" + line[at:]
+        elif runs := list(re.finditer(r"\d+", line)):
+            # 5000 digits is past the interpreter's int-from-text limit
+            run = runs[at % len(runs)]
+            huge = "9" * draw(st.sampled_from((40, 400, 5000)))
+            line = line[:run.start()] + huge + line[run.end():]
+        lines[i:i + 1] = [line]
+    return kind, "".join(lines)
+
+
+@settings(max_examples=150)
+@given(_mutated_files())
+def test_mutated_files_raise_only_bifree_errors(tmp_path_factory, case):
+    kind, text = case
+    try:
+        _KINDS[kind][2](text)
+    except BifreeError as exc:
+        message = f"error: {exc}\n"
+    else:
+        return  # some mutations leave a valid file
+    path = tmp_path_factory.getbasetemp() / "fuzz.txt"
+    path.write_text(text)
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert main([*_FUZZ_COMMANDS[kind], str(path)]) == 2
+    assert (out.getvalue(), err.getvalue()) == ("", message)

@@ -7,7 +7,7 @@ from util import rand_dist, rand_scalar
 
 from bifree.cumulant import cumulants_from_moments
 from bifree.engine import check_bifree
-from bifree.errors import DomainError
+from bifree.errors import DomainError, TruncationError
 from bifree.io import (format_covariance, format_vector_spec, parse_covariance,
                        parse_vector_spec)
 from bifree.models import (CovarianceSpec, VectorSpec, _FockWalk, covariance_from_vectors,
@@ -241,6 +241,13 @@ def test_psd_check_requires_degree(rng):
     mu = rand_dist(SIG_LR, 2, rng)
     with pytest.raises(DomainError):
         gram_psd_check(mu, 1)
+
+
+def test_psd_check_above_the_table_degree_is_a_truncation_error(rng):
+    # the same error type as every other degree-bound check
+    mu = rand_dist(SIG_LR, 2, rng)
+    with pytest.raises(TruncationError, match="moment table degree 2 below requested 4"):
+        gram_psd_check(mu, 4)
 
 
 # ---------------------------------------------------------------------------

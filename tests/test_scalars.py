@@ -1,11 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bifree.errors import ParseError
-from bifree.scalars import (ONE, ZERO, GaussianRational, _new, decimal_magnitude,
+from bifree.scalars import (ONE, ZERO, Dilation, GaussianRational, _new, decimal_magnitude,
                             format_scalar, parse_scalar, qi)
 
 rationals = st.fractions(max_denominator=50)
@@ -77,6 +77,32 @@ def test_integer_components_stay_integers():
               r * zero, zero * zero):
         assert type(v.re) is int and type(v.im) is int
     assert r * r == qi(16) and a * b == qi(-1, 1, 31, 1)
+
+
+real_sets = st.lists(st.builds(GaussianRational, rationals), min_size=1, max_size=6)
+complex_sets = st.lists(scalars, min_size=1, max_size=6).filter(
+    lambda values: any(v.im for v in values))
+
+
+@given(st.one_of(real_sets, complex_sets), st.integers(0, 6))
+@example([qi(1, 2)], 0)
+@example([qi(3, 1, 1, 2)], 0)
+def test_dilation_round_trips_through_the_integers(values, exponent):
+    dil = Dilation(values)
+    for v in values:
+        if exponent == 0 and (v.re.denominator > 1 or v.im.denominator > 1):
+            # D^0 = 1 cannot clear a denominator
+            with pytest.raises(ArithmeticError):
+                dil.dilated(v, exponent)
+            continue
+        d = dil.dilated(v, exponent)
+        if dil.real:
+            assert type(d) is int
+        else:
+            assert type(d) is GaussianRational
+            assert type(d.re) is int and type(d.im) is int
+        assert d == v * dil.dilation**exponent
+        assert dil.scalar(d, exponent) == v
 
 
 @given(rationals)
