@@ -102,23 +102,26 @@ class CumulantTable:
 
 
 def tabulate(signature: FaceSignature, degree: int, start,
-             step: Callable[[Letter, object], object],
+             step: Callable[[Letter, object, int], object],
              read: Callable[[object, int], GaussianRational]) -> Distribution:
     """Distribution of the operators that act letter by letter on a state.
 
-    The state of the empty word is `start` and the state of
-    `(letter,) + w` is `step(letter, state of w)`, so a word's letters act
-    right to left; the moment of a word of n letters is `read(its state,
-    n)`, and `read(start, 0)` must be 1, so no state carries its depth.
-    Words sharing a suffix share the whole evaluation of that suffix, so
-    the walk costs one step per word.
+    The state of the empty word is `start` and the state of a word
+    `(letter,) + w` of n letters is `step(letter, state of w, degree - n)`,
+    so a word's letters act right to left and each step is told how many
+    letters can still act on its result; a walk may drop any part of a
+    state that those letters cannot bring back to what `read` looks at.
+    The moment of a word of n letters is `read(its state, n)`, and
+    `read(start, 0)` must be 1, so no state carries its depth.  Words
+    sharing a suffix share the whole evaluation of that suffix, so the walk
+    costs one step per word.
     """
     alphabet = signature.letters()
     moments = {(): read(start, 0)}
 
     def extend(state, word: Word, length: int) -> None:
         for letter in alphabet:
-            grown = step(letter, state)
+            grown = step(letter, state, degree - length)
             longer = (letter,) + word
             moments[longer] = read(grown, length)
             if length < degree:
@@ -131,12 +134,14 @@ def tabulate(signature: FaceSignature, degree: int, start,
 
 def point_distribution(signature: FaceSignature, degree: int) -> Distribution:
     """All nonempty moments zero: the neutral element of additive convolution."""
-    return tabulate(signature, degree, ONE, lambda letter, m: ZERO, lambda m, n: m)
+    return tabulate(signature, degree, ONE,
+                    lambda letter, m, remaining: ZERO, lambda m, n: m)
 
 
 def ones_distribution(signature: FaceSignature, degree: int) -> Distribution:
     """Every moment 1: constant-1 variables, neutral for multiplicative convolution."""
-    return tabulate(signature, degree, ONE, lambda letter, m: m, lambda m, n: m)
+    return tabulate(signature, degree, ONE,
+                    lambda letter, m, remaining: m, lambda m, n: m)
 
 
 def group_families(dist: Distribution, family) -> Distribution:

@@ -25,6 +25,12 @@ Gaussian integer for complex tables) and each output moment is divided by
 its power of D once, at the end; the registry dilates each moment as it
 interns the block.  Results are identical to the rational evaluation.
 
+Only the vacuum coefficient is ever read, and one step changes a key's
+length by at most one block, so every step is told how many steps are
+still to act after it and keeps no key longer than that: such a key could
+never come back to the vacuum.  Leaf words of a table walk thus keep only
+their vacuum term.
+
 The public `TensorState` holds the same blocks as `(family, word)` pairs.
 `apply_left`/`apply_right` intern a caller's blocks into a registry of
 their own over the marginal's table as given, run the one step on
@@ -164,12 +170,29 @@ class _Blocks:
         return (letter.side == LEFT, tag, m_a, single)
 
 
-def _apply_step(state: dict, summands, blocks: _Blocks) -> dict:
+def _apply_step(state: dict, summands, blocks: _Blocks, bound: int) -> dict:
+    """One operator step, keeping only the keys of at most `bound` blocks.
+
+    `bound` is the number of steps still to act after this one.  A step
+    changes a key's length by at most one block and only the vacuum
+    coefficient is ever read, so a key longer than `bound` could never come
+    back to it: a key longer than `bound + 1` is skipped, one of exactly
+    `bound + 1` blocks gives only its shorter term, and a block is
+    prepended or appended only to a key shorter than `bound`.  A term that
+    cancels is deleted where it cancels, so the result holds no zero.
+    """
     tags = blocks.tag
     moments = blocks.moment
     child = blocks.child
     out: dict = {}
     for key, c in state.items():
+        n = len(key)
+        if n > bound:
+            if n > bound + 1:
+                continue
+            keep = extend = False
+        else:
+            keep, extend = True, n < bound
         for is_left, tag, m_a, single in summands:
             if key:
                 head = key[0] if is_left else key[-1]
@@ -178,32 +201,58 @@ def _apply_step(state: dict, summands, blocks: _Blocks) -> dict:
                     if aw is None:
                         aw = blocks.grow(head, single)
                     rest = key[1:] if is_left else key[:-1]
-                    grown = (aw,) + rest if is_left else rest + (aw,)
-                    acc = out.get(grown)
-                    out[grown] = c if acc is None else acc + c
-                    m_aw = moments[aw]
                     m_w0 = moments[head]
-                    if m_w0:
-                        v = c * m_w0
-                        short = (single,) + rest if is_left else rest + (single,)
-                        acc = out.get(short)
-                        out[short] = -v if acc is None else acc - v
-                        drop = m_aw - m_w0 * m_a
-                    else:
-                        drop = m_aw
+                    if keep:
+                        grown = (aw,) + rest if is_left else rest + (aw,)
+                        acc = out.get(grown)
+                        if acc is None:
+                            out[grown] = c
+                        elif acc := acc + c:
+                            out[grown] = acc
+                        else:
+                            del out[grown]
+                        if m_w0:
+                            v = c * m_w0
+                            short = (single,) + rest if is_left else rest + (single,)
+                            acc = out.get(short)
+                            if acc is None:
+                                out[short] = -v
+                            elif acc := acc - v:
+                                out[short] = acc
+                            else:
+                                del out[short]
+                    drop = moments[aw] - m_w0 * m_a if m_w0 else moments[aw]
                     if drop:
                         v = c * drop
                         acc = out.get(rest)
-                        out[rest] = v if acc is None else acc + v
+                        if acc is None:
+                            out[rest] = v
+                        elif acc := acc + v:
+                            out[rest] = acc
+                        else:
+                            del out[rest]
                     continue
+            if not keep:
+                continue
             if m_a:
                 v = c * m_a
                 acc = out.get(key)
-                out[key] = v if acc is None else acc + v
-            longer = (single,) + key if is_left else key + (single,)
-            acc = out.get(longer)
-            out[longer] = c if acc is None else acc + c
-    return {k: v for k, v in out.items() if v}
+                if acc is None:
+                    out[key] = v
+                elif acc := acc + v:
+                    out[key] = acc
+                else:
+                    del out[key]
+            if extend:
+                longer = (single,) + key if is_left else key + (single,)
+                acc = out.get(longer)
+                if acc is None:
+                    out[longer] = c
+                elif acc := acc + c:
+                    out[longer] = acc
+                else:
+                    del out[longer]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +290,19 @@ def _build_table(ctx: _EvalContext, signature: FaceSignature,
     convolution, 2 for multiplicative convolution.  The walk's state is the
     bare dict of dilated coefficients; a word of n letters has taken
     width*n steps, so its moment is the vacuum coefficient over D^(width*n).
+    When `remaining` more letters can follow, width*remaining steps act
+    after the letter's last one, and each earlier step of the letter one
+    more: that is each step's bound.
     """
     blocks = ctx.blocks
     zero = ctx.zero
     (width,) = {len(steps) for steps in letter_steps.values()} or {0}
 
-    def step(letter, state):
+    def step(letter, state, remaining):
+        bound = width * (remaining + 1)
         for s in reversed(letter_steps[letter]):
-            state = _apply_step(state, s, blocks)
+            bound -= 1
+            state = _apply_step(state, s, blocks, bound)
         return state
 
     return tabulate(signature, degree, {(): ctx.one}, step,
@@ -273,7 +327,8 @@ def _apply_side(is_left: bool, family, letter: Letter, state: TensorState,
     state_ids = {(): state.vacuum} if state.vacuum else {}
     for key, coeff in state.terms.items():
         state_ids[tuple(blocks.intern(t, w) for t, w in key)] = coeff
-    state_ids = _apply_step(state_ids, (blocks.summand(family, letter),), blocks)
+    longest = max(map(len, state_ids), default=0)
+    state_ids = _apply_step(state_ids, (blocks.summand(family, letter),), blocks, longest + 1)
     vacuum = state_ids.pop((), ZERO)
     return TensorState(vacuum, {
         tuple((blocks.tag[b], blocks.word[b]) for b in ids): coeff
@@ -303,8 +358,8 @@ def joint_moment(marginals: Mapping[object, Distribution], word: Word) -> Gaussi
             raise DomainError(f"no marginal given for family {letter.family!r}")
         steps.append((ctx.blocks.summand(tag_of[letter.family], letter),))
     state = {(): ctx.one}
-    for step in reversed(steps):
-        state = _apply_step(state, step, ctx.blocks)
+    for k, step in enumerate(reversed(steps), start=1):
+        state = _apply_step(state, step, ctx.blocks, len(steps) - k)
     return ctx.scalar(state.get((), ctx.zero), len(word))
 
 

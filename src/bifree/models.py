@@ -84,7 +84,8 @@ class _FockWalk(Dilation):
     D, the lcm of the denominators of all these tables: the state runs on
     integers.  The state is the bare dict.  Each annihilation multiplies by
     D, and the vacuum term of a word of n letters has had n/2 of them, so
-    `read` divides it by D^(n//2).
+    `read` divides it by D^(n//2).  A step keeps no key that the letters
+    still to act can no longer bring back to the vacuum.
     """
 
     def __init__(self, spec: VectorSpec):
@@ -101,18 +102,23 @@ class _FockWalk(Dilation):
         }
         self.start = {(): self.one}
 
-    def step(self, letter: Letter, state: dict) -> dict:
+    def step(self, letter: Letter, state: dict, remaining: int) -> dict:
         """Creation plus annihilation: a left letter prepends its vector id
-        or drops the head slot, a right letter does both at the tail."""
+        or drops the head slot, a right letter does both at the tail.
+
+        Each of the `remaining` letters still to act changes a key's length
+        by one and only the vacuum term is read, so creation keeps a key
+        only if it is shorter than `remaining`, and annihilation only if it
+        has at most `remaining + 1` slots."""
         is_left, vid, table = self.moves[letter]
         if is_left:
-            out = {(vid,) + key: c for key, c in state.items()}
+            out = {(vid,) + key: c for key, c in state.items() if len(key) < remaining}
             end, rest = 0, slice(1, None)
         else:
-            out = {key + (vid,): c for key, c in state.items()}
+            out = {key + (vid,): c for key, c in state.items() if len(key) < remaining}
             end, rest = -1, slice(None, -1)
         for key, c in state.items():
-            if key and (t := table[key[end]]):
+            if key and len(key) <= remaining + 1 and (t := table[key[end]]):
                 shorter = key[rest]
                 acc = out.get(shorter)
                 value = c * t if acc is None else acc + c * t
@@ -319,7 +325,7 @@ def group_example_dist(orders, degree: int) -> Distribution:
         raise DomainError("cyclic group orders must all be >= 2")
     signature = group_signature(orders)
 
-    def step(letter: Letter, element: tuple) -> tuple:
+    def step(letter: Letter, element: tuple, remaining: int) -> tuple:
         # group element as a reduced alternating tuple of (group, exponent)
         g = letter.family - 1
         if letter.side == LEFT:

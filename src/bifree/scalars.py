@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 from numbers import Rational
 
-from .errors import ParseError
+from .errors import BifreeError, ParseError
 
 _Q0 = Fraction(0)
 
@@ -231,16 +231,30 @@ def parse_scalar(text: str) -> GaussianRational:
         raise ParseError("too many digits in scalar") from None
 
 
+def _too_many_digits(*numbers: int) -> BifreeError:
+    """The error for a number past the interpreter's int-to-text limit,
+    naming the digit count of the longest; the parsers refuse such numbers."""
+    top = max(map(abs, numbers))
+    digits = max(1, int(top.bit_length() * 0.3010299956639812))  # never above the count
+    while top >= 10**digits:
+        digits += 1
+    return BifreeError(f"too many digits to write: a result holds a {digits}-digit number")
+
+
 def format_scalar(value: GaussianRational) -> str:
     """Canonical text form; real scalars omit the imaginary part."""
     re_, im = value.re, value.im
-    if not im:
-        num, den = re_.numerator, re_.denominator
-        return str(num) if den == 1 else f"{num}/{den}"
-    re_text = f"{re_.numerator}/{re_.denominator}"
-    sign = "+" if im >= 0 else "-"
-    im_abs = abs(im)
-    return f"{re_text} {sign} {im_abs.numerator}/{im_abs.denominator} i"
+    try:
+        if not im:
+            num, den = re_.numerator, re_.denominator
+            return str(num) if den == 1 else f"{num}/{den}"
+        re_text = f"{re_.numerator}/{re_.denominator}"
+        sign = "+" if im >= 0 else "-"
+        im_abs = abs(im)
+        return f"{re_text} {sign} {im_abs.numerator}/{im_abs.denominator} i"
+    except ValueError:  # str() refuses an int past the interpreter's limit
+        raise _too_many_digits(re_.numerator, re_.denominator,
+                               im.numerator, im.denominator) from None
 
 
 def decimal_magnitude(value: GaussianRational) -> str:
@@ -254,4 +268,7 @@ def decimal_magnitude(value: GaussianRational) -> str:
         mag2 = re_ * re_ + im * im
         scaled = isqrt(mag2.numerator * scale * scale // mag2.denominator)
     whole, frac = divmod(scaled, scale)
-    return f"{whole}.{frac:012d}"
+    try:
+        return f"{whole}.{frac:012d}"
+    except ValueError:  # str() refuses an int past the interpreter's limit
+        raise _too_many_digits(whole) from None

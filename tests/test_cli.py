@@ -316,6 +316,20 @@ def test_empty_signature_at_a_huge_degree_returns_at_once(tmp_path, capsys):
     assert capsys.readouterr().out == "# star: no\n# degree: 1000000000\n# kind: cumulants\n"
 
 
+def test_a_result_too_long_to_write_is_an_input_error(tmp_path, capsys):
+    # a 3000-digit first moment parses, but kappa(1.a 1.a) = 1 - mu(1.a)^2
+    # has 6000 digits, past the interpreter's int-to-text limit
+    path, out = tmp_path / "huge.dist", tmp_path / "huge.cum"
+    path.write_text("# family 1 left: a\n# star: no\n# degree: 2\n"
+                    f"() : 1\n1.a : {'7' * 3000}\n1.a 1.a : 1\n")
+    message = "error: too many digits to write: a result holds a 6000-digit number\n"
+    assert main(["cumulants", "--in", str(path)]) == 2
+    assert capsys.readouterr() == ("", message)
+    assert main(["cumulants", "--in", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", message)
+    assert not out.exists()
+
+
 VEC_HEAD = "# family 1 left: a\n# star: no\n# dim: {dim}\n"
 
 

@@ -423,7 +423,7 @@ def test_dilated_tables_hold_integers(rng):
     state = {(): ctx.one}
     for tag, letter in ((0, A1), (1, C2), (0, A1), (0, C1), (2, Letter(3, LEFT, "a"))):
         step = (ctx.blocks.summand(tag, letter),)
-        state = _apply_step(state, step, ctx.blocks)
+        state = _apply_step(state, step, ctx.blocks, 5)
         assert state
         assert all(type(v.re) is int and type(v.im) is int for v in state.values())
 
@@ -467,3 +467,145 @@ def test_joint_moment_with_an_undeclared_letter_names_it(rng):
     # SIG1 is not star-closed, so its starred letters are undeclared too
     with pytest.raises(SignatureError, match=r"letter 1\.a\* is not declared by its marginal"):
         joint_moment(marginals, (Letter(1, LEFT, "a", True), C2))
+
+
+# ---------------------------------------------------------------------------
+# steps bounded by the steps left
+
+
+def _step_contexts(rng):
+    """(context, letter -> steps) for product, boxplus and boxtimes walks
+    over degree-4 tables, real and complex."""
+    for with_imag in (False, True):
+        mus = [rand_dist(SIG1, 4, rng, with_imag), rand_dist(SIG2, 4, rng)]
+        ctx = _EvalContext(mus)
+        yield ctx, {
+            letter: ((ctx.blocks.summand(tag, letter),),)
+            for tag, mu in enumerate(mus) for letter in mu.signature.letters()}
+        pair = [rand_dist(SIG1, 4, rng, with_imag), rand_dist(SIG1, 4, rng, with_imag)]
+        ctx = _EvalContext(pair)
+        yield ctx, {
+            letter: ((ctx.blocks.summand(0, letter), ctx.blocks.summand(1, letter)),)
+            for letter in SIG1.letters()}
+        ctx = _EvalContext(pair)
+        yield ctx, {
+            letter: ((ctx.blocks.summand(0, letter),), (ctx.blocks.summand(1, letter),))
+            for letter in SIG1.letters()}
+
+
+def _unbounded_step(state, summands, blocks):
+    return _apply_step(state, summands, blocks, max(map(len, state), default=0) + 2)
+
+
+def _check_bounded_steps(state, summands, blocks):
+    full = _unbounded_step(state, summands, blocks)
+    assert all(full.values())
+    for bound in range(max(map(len, state), default=0) + 2):
+        bounded = _apply_step(state, summands, blocks, bound)
+        assert bounded == {key: v for key, v in full.items() if len(key) <= bound}
+        assert all(bounded.values())
+    return full
+
+
+def test_bounded_step_is_the_unbounded_step_truncated(rng):
+    # states reached by walks of up to 3 letters, so that one more letter
+    # grows no block past the tables' degree
+    for ctx, letter_steps in _step_contexts(rng):
+        letters = list(letter_steps)
+        for _ in range(30):
+            state = {(): ctx.one}
+            for letter in rng.choices(letters, k=rng.randint(0, 3)):
+                for summands in reversed(letter_steps[letter]):
+                    state = _unbounded_step(state, summands, ctx.blocks)
+            for summands in reversed(letter_steps[rng.choice(letters)]):
+                state = _check_bounded_steps(state, summands, ctx.blocks)
+
+
+def test_bounded_step_deletes_the_terms_that_cancel(rng):
+    # letter a acting on {(): drop, (a,): -m_a} adds drop*m_a and then
+    # -m_a*drop to the vacuum, where drop = m(aa) - m(a)^2: no vacuum key
+    # may be left
+    cancelled = 0
+    for ctx, letter_steps in _step_contexts(rng):
+        blocks = ctx.blocks
+        for steps in letter_steps.values():
+            summands = steps[-1]  # the step that acts first
+            if len(summands) > 1:  # boxplus sums two letters
+                continue
+            _, _, m_a, single = summands[0]
+            drop = blocks.moment[blocks.grow(single, single)] - m_a * m_a
+            if m_a and drop:
+                out = _check_bounded_steps({(): drop, (single,): -m_a}, summands, blocks)
+                assert () not in out
+                cancelled += 1
+    assert cancelled >= 8
+
+
+def test_pruned_joint_moments_keep_every_value_and_every_error(rng):
+    # every word up to two letters past twice the marginals' degree: past
+    # the degree the walk prunes keys that the unpruned expansion would
+    # grow, and it must still raise TruncationError exactly where that does.
+    # The naive expansion keeps zero terms, so it also grows blocks whose
+    # coefficient a zero moment cancelled, which the engine drops; tables
+    # with no zero moment make "exactly where" well defined.
+    sig1 = two_faced(left=("a",), right=("c",), family=1)
+    sig2 = two_faced(left=("b",), right=("d",), family=2)
+
+    def outcome(moment, marginals, word):
+        try:
+            return moment(marginals, word)
+        except TruncationError:
+            return TruncationError
+
+    checked = 0
+    for degree in (1, 2):
+        marginals = {1: coprime_dist(sig1, degree, rng, 7, 3),
+                     2: coprime_dist(sig2, degree, rng, 5)}
+        for word in union_signatures([sig1, sig2]).words(2 * degree + 2):
+            if word:
+                assert (outcome(joint_moment, marginals, word)
+                        == outcome(naive_joint_moment, marginals, word)), word
+                checked += 1
+    assert checked == 5800
+
+
+def test_joint_moment_past_the_degree_is_that_of_every_extension(rng):
+    # with zero moments the engine may answer a word past the degree that
+    # the naive expansion refuses; its value must then not depend on the
+    # missing moments: every extension of the tables gives the same value
+    sig1 = two_faced(left=("a",), right=("c",), family=1)
+    sig2 = two_faced(left=("b",), right=("d",), family=2)
+    answered = 0
+    for degree in (1, 2):
+        marginals = {1: rand_dist(sig1, degree, rng, with_imag=True),
+                     2: rand_dist(sig2, degree, rng)}
+        extensions = []
+        for _ in range(2):
+            extended = {}
+            for family, mu in marginals.items():
+                moments = rand_dist(mu.signature, 2 * degree + 2, rng, with_imag=True).moments
+                moments.update(mu.moments)
+                extended[family] = Distribution(mu.signature, 2 * degree + 2, moments)
+            extensions.append(extended)
+        for word in union_signatures([sig1, sig2]).words(2 * degree + 2):
+            if len(word) <= degree:
+                continue
+            try:
+                value = joint_moment(marginals, word)
+            except TruncationError:
+                continue
+            answered += 1
+            for extended in extensions:
+                assert joint_moment(extended, word) == value, word
+    assert answered > 100
+
+
+def test_product_at_its_full_degree_matches_the_naive_expansion(rng):
+    # words of exactly the table's degree take every step at the bound
+    degree = 5
+    mus = [rand_dist(SIG1, degree, rng, with_imag=True), rand_dist(SIG2, degree, rng)]
+    table = bifree_product(mus, degree)
+    marginals = {1: mus[0], 2: mus[1]}
+    for word in table.signature.words(degree):
+        if len(word) == degree:
+            assert table.moment(word) == naive_joint_moment(marginals, word)

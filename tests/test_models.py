@@ -116,6 +116,21 @@ def test_fock_distribution_matches_per_word_fock_moment(rng):
         assert tab.moment(word) == oracles.fock_moment(spec, word)
 
 
+def test_fock_table_at_its_full_degree_matches_the_oracle(rng):
+    # words of exactly the table's degree take every step at the bound,
+    # where the walk keeps only keys that can still return to the vacuum
+    sig = FaceSignature((FamilyFaces(1, ("a",), ("b",), False),
+                         FamilyFaces(2, ("a",), (), False)))
+    keys = [(l.family, l.side, l.index) for l in sig.letters()]
+    h, h_star = ({k: (rand_scalar(rng, True), rand_scalar(rng, True)) for k in keys}
+                 for _ in range(2))
+    spec = VectorSpec(sig, 2, h, h_star)
+    degree = 6
+    tab = fock_distribution(spec, degree)
+    for word in itertools.product(sig.letters(), repeat=degree):
+        assert tab.moment(word) == oracles.fock_moment(spec, word)
+
+
 def test_fock_walk_matches_oracle_word_by_word():
     # 1.a and 2.b share their creation vector, given once as a tuple and once
     # as a list, so they must share one interned id; the denominators 7, 11

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from bifree.errors import ParseError
+from bifree.errors import BifreeError, ParseError
 from bifree.scalars import (ONE, ZERO, Dilation, GaussianRational, _new, decimal_magnitude,
                             format_scalar, parse_scalar, qi)
 
@@ -119,3 +119,17 @@ def test_decimal_magnitude():
     assert decimal_magnitude(qi(0, 1, 3, 4)) == "0.750000000000"
     # |3/5 + 4/5 i| = 1
     assert decimal_magnitude(qi(3, 5, 4, 5)) == "1.000000000000"
+
+
+def test_a_number_too_long_to_write_is_refused_with_its_digit_count():
+    # 4300 digits is the interpreter's int-to-text limit: the longest number
+    # that formats is the longest that parses back
+    longest = qi(10**4300 - 1)
+    assert parse_scalar(format_scalar(longest)) == longest
+    for value, digits in ((qi(10**4300), 4301), (qi(-7 * (10**5000 - 1) // 9), 5000),
+                          (qi(1, 3, 2, 10**4400 + 1), 4401)):
+        with pytest.raises(BifreeError, match=f"^too many digits to write: "
+                                              f"a result holds a {digits}-digit number$"):
+            format_scalar(value)
+    with pytest.raises(BifreeError, match="a 4301-digit number"):
+        decimal_magnitude(qi(10**4300 + 1, 1))
