@@ -58,11 +58,7 @@ class Distribution:
     def restrict(self, families) -> Distribution:
         """Moments of the words supported on the given families (Cor 2.10-style)."""
         sub = self.signature.restrict(families)
-        keep = {f.family for f in sub.families}
-        kept = {
-            w: v for w, v in self.moments.items() if all(l.family in keep for l in w)
-        }
-        return Distribution(sub, self.degree, kept)
+        return Distribution(sub, self.degree, {w: self.moments[w] for w in sub.words(self.degree)})
 
     def retag(self, mapping: Mapping) -> Distribution:
         """Rename family ids via `mapping` (missing ids are kept)."""

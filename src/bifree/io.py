@@ -117,18 +117,34 @@ class _HeaderState:
         )
 
 
-def _parse_lines(text: str, header: _HeaderState, body) -> FaceSignature:
+_LINE_BLOCK = 1 << 16
+
+
+def _split_lines(text: str):
+    """`text.splitlines()`, a block of about `_LINE_BLOCK` characters at a
+    time, so that no list of every line of a large file is held.  A block
+    ends just after a newline, where every line break ends and none begins."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _LINE_BLOCK)
+        end = len(text) if end < 0 else end + 1
+        yield from text[start:end].splitlines()
+        start = end
+
+
+def _parse_lines(text: str, header: _HeaderState):
     """The line loop shared by every format: header lines, then body lines.
 
-    Header lines go to `header`.  At the first body line the headers are
-    complete and give the signature; each body line then goes to
-    `body(signature, line, lineno)`.  Returns the signature.  A covariance
-    or vector file without body lines is refused, as is a `# kind:` other
-    than the one `header` expects.
+    A generator.  Header lines go to `header`.  Once the headers are
+    complete, at the first body line (or at the end of a file without
+    one), it yields the signature, then `(lineno, line)` for each body
+    line, stripped.  A covariance or vector file without body lines is
+    refused, and so, once the body is read, is a `# kind:` other than the
+    one `header` expects.
     """
     signature = None
     lineno = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_split_lines(text), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -139,17 +155,17 @@ def _parse_lines(text: str, header: _HeaderState, body) -> FaceSignature:
             continue
         if signature is None:
             signature = header.signature(lineno)
-        body(signature, line, lineno)
+            yield signature
+        yield lineno, line
     kind = header.expected_kind
     if signature is None:
         if header.number_name != "degree":
             raise ParseError(f"empty {kind} file")
-        signature = header.signature(lineno)
+        yield header.signature(lineno)
     # a file without '# kind:' is of the kind its reader expects, except that
     # a cumulant table must say so: a moment table has the same body lines
     if (header.kind or ("moments" if kind == "cumulants" else kind)) != kind:
         raise ParseError(f"expected a {kind} table, got kind {header.kind!r}")
-    return signature
 
 
 def _parse_letter(text: str, signature: FaceSignature, lineno: int) -> Letter:
@@ -182,9 +198,10 @@ def _parse_scalar(text: str, lineno: int) -> GaussianRational:
 
 def _parse_word(text: str, signature: FaceSignature, lineno: int,
                 letters: dict[str, Letter]) -> Word:
-    """`letters` maps every token of the file that has parsed to its letter,
-    so each distinct token is parsed once, on the first line that holds it;
-    a bad token is never stored and fails on each line where it occurs."""
+    """`letters` maps tokens that parse to their letters; each token missing
+    from it is parsed here and stored, so it is parsed once, on the first
+    line that holds it, while a bad token is never stored and fails on each
+    line where it occurs."""
     text = text.strip()
     if text == "()":
         return ()
@@ -201,24 +218,30 @@ def _parse_table(text: str, kind: str, number: str | None):
     """(signature, `number` header, word -> scalar) of a moment, cumulant
     or covariance file."""
     header = _HeaderState(kind, number)
+    lines = _parse_lines(text, header)
+    signature = next(lines)
     entries: dict[Word, GaussianRational] = {}
-    letters: dict[str, Letter] = {}
+    # the canonical text of every letter, then each other token that parses
+    letters = {format_letter(letter): letter for letter in signature.letters()}
     # like `letters`, for scalar texts: only texts that parsed are stored
     scalars: dict[str, GaussianRational] = {}
-
-    def body(signature, line, lineno):
-        if ":" not in line:
+    for lineno, line in lines:
+        word_text, colon, scalar_text = line.rpartition(":")
+        if not colon:
             raise ParseError("expected 'WORD : SCALAR'", lineno)
-        word_text, _, scalar_text = line.rpartition(":")
-        word = _parse_word(word_text, signature, lineno, letters)
+        try:
+            word = tuple(map(letters.__getitem__, word_text.split()))
+        except KeyError:
+            word = ()
+        if not word:  # '()', an empty key, or a token not in `letters`
+            word = _parse_word(word_text, signature, lineno, letters)
         value = scalars.get(scalar_text)
         if value is None:
             value = scalars[scalar_text] = _parse_scalar(scalar_text, lineno)
-        if word in entries:
-            raise ParseError(f"duplicate entry for word {format_word(word)}", lineno)
+        size = len(entries)
         entries[word] = value
-
-    signature = _parse_lines(text, header, body)
+        if len(entries) == size:
+            raise ParseError(f"duplicate entry for word {format_word(word)}", lineno)
     return signature, header.number, entries
 
 
@@ -256,10 +279,13 @@ def _emit_headers(signature: FaceSignature, kind: str | None, *extra: str) -> li
 
 
 def _word_texts(signature: FaceSignature, degree: int):
-    """(word, format_word(word)) in emission order, each letter formatted once."""
-    texts = {letter: format_letter(letter) for letter in signature.letters()}
-    for word in signature.words(degree):
-        yield word, " ".join([texts[letter] for letter in word]) if word else "()"
+    """(word, format_word(word)) in emission order.  `FaceSignature.words`
+    lists the words of each length as a power of the alphabet, so the texts
+    are the same power of the letter texts, each letter formatted once."""
+    texts = [format_letter(letter) for letter in signature.letters()]
+    powers = (map(" ".join, itertools.product(texts, repeat=n)) for n in range(1, degree + 1))
+    return zip(signature.words(degree),
+               itertools.chain(["()"], itertools.chain.from_iterable(powers)))
 
 
 def _format_table(lines: list[str], signature: FaceSignature, degree: int,
@@ -270,7 +296,8 @@ def _format_table(lines: list[str], signature: FaceSignature, degree: int,
     words = itertools.islice(_word_texts(signature, degree), signature.word_count(shortest - 1),
                              None)
     lines.extend(f"{text} : {format_scalar(values[word])}" for word, text in words)
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, joined in rather than added to a copy of the text
+    return "\n".join(lines)
 
 
 def format_distribution(dist: Distribution) -> str:
@@ -302,12 +329,15 @@ def format_vector_spec(spec: VectorSpec) -> str:
 
 def parse_vector_spec(text: str) -> VectorSpec:
     header = _HeaderState("vectors", "dim")
+    lines = _parse_lines(text, header)
+    signature = next(lines)
     h: dict = {}
     h_star: dict = {}
     letters: dict[str, Letter] = {}
-
-    def body(signature, line, lineno):
-        key_text, _, values_text = line.rpartition(":")
+    for lineno, line in lines:
+        key_text, colon, values_text = line.rpartition(":")
+        if not colon:
+            raise ParseError("expected 'LETTER[*] : v1 v2 ...'", lineno)
         key_text = key_text.strip()
         starred = key_text.endswith("*")
         word = _parse_word(key_text.removesuffix("*"), signature, lineno, letters)
@@ -323,6 +353,4 @@ def parse_vector_spec(text: str) -> VectorSpec:
         if key in target:
             raise ParseError("duplicate vector row", lineno)
         target[key] = vec
-
-    signature = _parse_lines(text, header, body)
     return VectorSpec(signature, header.number, h, h_star)

@@ -222,6 +222,23 @@ def gram_quadratic_form(mu: Distribution, poly: Mapping[Word, GaussianRational])
     return total
 
 
+def _check_hermitian(gram: list, basis: list, real: bool) -> None:
+    """Refuse a Gram matrix that is not hermitian, naming the first entry
+    (i, j), j >= i, in row order that is not the conjugate of (j, i).  The
+    first row unequal to its conjugated column differs from it first at or
+    after the diagonal: a mismatch before it would be in an earlier row."""
+    for i, column in enumerate(zip(*gram)):
+        row = gram[i]
+        adjoint = list(column) if real else [y.conjugate() for y in column]
+        if adjoint != row:
+            j = next(j for j in range(i, len(row)) if row[j] != adjoint[j])
+            raise DomainError(
+                "moment table is not compatible with the involution: "
+                f"Gram matrix not hermitian at ({format_word(basis[i])}, "
+                f"{format_word(basis[j])})"
+            )
+
+
 def gram_psd_check(mu: Distribution, degree: int) -> PsdResult:
     """Decide positive semidefiniteness of the Gram form on words of degree
     <= degree//2 by exact symmetric elimination with diagonal pivoting.
@@ -229,6 +246,16 @@ def gram_psd_check(mu: Distribution, degree: int) -> PsdResult:
     Star-closed signatures use the word involution; otherwise every letter
     is taken self-adjoint and the involution is word reversal.  Returns a
     witness polynomial P with mu(P*P) < 0 when indefinite.
+
+    The Gram matrix is dilated by D onto the integers (Gaussian integers
+    for a complex table) and eliminated fraction-free (Bareiss):
+    a_ij <- (a_ij*d - a_ip*a_pj) / prev, d the pivot and prev the pivot
+    before it (1 at first), which divides exactly.  Every active entry is
+    then D*prev times the entry the same elimination over the rationals
+    holds, and D*prev > 0 since every pivot taken is positive, so the
+    largest-|diagonal| pivot, every zero and sign test and every row ratio
+    a_pi/d are those of the rational elimination; the witness is rebuilt
+    from these ratios in rationals.
     """
     if degree < 2:
         raise DomainError("positivity check needs degree >= 2")
@@ -237,42 +264,40 @@ def gram_psd_check(mu: Distribution, degree: int) -> PsdResult:
     basis = list(mu.signature.words(degree // 2))
     n = len(basis)
     moments = mu.moments
-    gram = [[moments[u + w] for w in basis] for u in map(_involution(mu.signature), basis)]
-    for i in range(n):
-        for j in range(i, n):
-            x, y = gram[i][j], gram[j][i]
-            if x.re != y.re or x.im != -y.im:
-                raise DomainError(
-                    "moment table is not compatible with the involution: "
-                    f"Gram matrix not hermitian at ({format_word(basis[i])}, "
-                    f"{format_word(basis[j])})"
-                )
+    # a parsed table shares its scalar objects, so each object is dilated once
+    distinct = {id(v): v for v in moments.values()}
+    dilation = Dilation(distinct.values())
+    dilated = {key: dilation.dilated(v, 1) for key, v in distinct.items()}
+    gram = [[dilated[id(moments[u + w])] for w in basis]
+            for u in map(_involution(mu.signature), basis)]
+    real = dilation.real
+    _check_hermitian(gram, basis, real)
 
     active = list(range(n))
-    # Each record is (pivot index, row of multipliers) for back-substitution.
-    steps: list[tuple[int, dict[int, GaussianRational]]] = []
+    # Each record is (pivot index, its row, pivot) for back-substitution.
+    steps: list[tuple] = []
 
     def backsubstitute(vec: dict[int, GaussianRational]) -> PsdResult:
-        for p, row in reversed(steps):
+        for p, row, d in reversed(steps):
             value = ZERO
             for i, m in row.items():
                 if i in vec:
-                    value = value + m * vec[i]
+                    value = value + dilation.scalar(m, 0) * vec[i]
             if value:
-                vec[p] = -value
+                vec[p] = -(value / dilation.scalar(d, 0))
         witness = {basis[i]: c for i, c in vec.items() if c}
         if gram_quadratic_form(mu, witness).re >= 0:
             raise AssertionError("internal error: witness fails to certify")
         return PsdResult(False, witness)
 
+    prev = 1
     while active:
-        pivot = None
-        best = None
+        # the diagonal is real; `top` is the largest in size, as an int
+        pivot, top = None, 0
         for i in active:
-            d = gram[i][i]
-            if d:
-                if best is None or abs(d.re) > abs(best):
-                    pivot, best = i, d.re
+            x = gram[i][i] if real else gram[i][i].re
+            if abs(x) > abs(top):
+                pivot, top = i, x
         if pivot is None:
             # All active diagonals vanish; any nonzero off-diagonal entry
             # gives a hyperbolic 2x2 block, hence indefiniteness.
@@ -280,23 +305,27 @@ def gram_psd_check(mu: Distribution, degree: int) -> PsdResult:
                 for j in active:
                     if i != j and gram[i][j]:
                         # value of the form on (-b, 1) is -2*|b|^2 < 0
-                        b = gram[i][j]
+                        b = dilation.scalar(gram[i][j], 1) / prev
                         return backsubstitute({i: -b, j: ONE})
             return PsdResult(True)
-        d = gram[pivot][pivot]
-        if d.re < 0:
+        if top < 0:
             return backsubstitute({pivot: ONE})
         active.remove(pivot)
-        row = {i: gram[pivot][i] / d for i in active if gram[pivot][i]}
-        steps.append((pivot, row))
+        rp = gram[pivot]
+        d = rp[pivot]
+        steps.append((pivot, {i: rp[i] for i in active if rp[i]}, d))
+        # with d == prev an entry changes only where a_ip and a_pj are both nonzero
+        columns = active if top != prev else [j for j in active if rp[j]]
         for i in active:
-            ci = gram[i][pivot]
-            if not ci:
-                continue
-            for j in active:
-                rj = row.get(j)
-                if rj is not None:
-                    gram[i][j] = gram[i][j] - ci * rj
+            row = gram[i]
+            c = row[pivot]
+            if c:
+                for j in columns:
+                    row[j] = (row[j] * d - c * rp[j]) // prev
+            elif top != prev:
+                for j in active:
+                    row[j] = row[j] * d // prev
+        prev = top
     return PsdResult(True)
 
 

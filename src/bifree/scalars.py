@@ -106,6 +106,14 @@ class GaussianRational:
             return NotImplemented
         return other / self
 
+    def __floordiv__(self, other):
+        """Componentwise floor division by an int: the exact quotient of a
+        Gaussian integer (a complex `Dilation` value) by a common divisor
+        of its components."""
+        if not isinstance(other, int):
+            return NotImplemented
+        return _new(self.re // other, self.im // other)
+
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented

@@ -14,6 +14,9 @@ its tagged words, sharing nothing with the library's cumulant scaling but
 `bifree_product`.  The Fock realization applies creation and annihilation
 operators to tensors of coordinate vectors, one word at a time, sharing
 nothing with the library's Fock walk but `VectorSpec.operator_vectors`.
+The Gram positivity check eliminates over the rationals, where the library
+eliminates fraction-free on the dilated integers; the two share only the
+involution and the witness's self-check `gram_quadratic_form`.
 """
 
 import itertools
@@ -24,10 +27,10 @@ from math import isqrt
 from bifree.convolve import boxplus2
 from bifree.dist import CumulantTable, Distribution, point_distribution
 from bifree.engine import bifree_product
-from bifree.errors import DomainError
-from bifree.models import VectorSpec
+from bifree.errors import DomainError, TruncationError
+from bifree.models import PsdResult, VectorSpec, _involution, gram_quadratic_form
 from bifree.scalars import ONE, ZERO, GaussianRational, qi
-from bifree.words import LEFT, Letter, Word
+from bifree.words import LEFT, Letter, Word, format_word
 
 
 def naive_joint_moment(marginals, word):
@@ -367,3 +370,85 @@ def fock_moment(spec: VectorSpec, word: Word) -> GaussianRational:
     for letter in reversed(word):
         state = fock_step(spec, letter, state)
     return state.vacuum
+
+
+# ---------------------------------------------------------------------------
+# Positivity of the Gram form, by elimination over the rationals
+
+
+def fraction_gram_psd_check(mu: Distribution, degree: int) -> PsdResult:
+    """Decide positive semidefiniteness of the Gram form on words of degree
+    <= degree//2 by exact symmetric elimination with diagonal pivoting.
+
+    Star-closed signatures use the word involution; otherwise every letter
+    is taken self-adjoint and the involution is word reversal.  Returns a
+    witness polynomial P with mu(P*P) < 0 when indefinite.
+    """
+    if degree < 2:
+        raise DomainError("positivity check needs degree >= 2")
+    if mu.degree < degree:
+        raise TruncationError(f"moment table degree {mu.degree} below requested {degree}")
+    basis = list(mu.signature.words(degree // 2))
+    n = len(basis)
+    moments = mu.moments
+    gram = [[moments[u + w] for w in basis] for u in map(_involution(mu.signature), basis)]
+    for i in range(n):
+        for j in range(i, n):
+            x, y = gram[i][j], gram[j][i]
+            if x.re != y.re or x.im != -y.im:
+                raise DomainError(
+                    "moment table is not compatible with the involution: "
+                    f"Gram matrix not hermitian at ({format_word(basis[i])}, "
+                    f"{format_word(basis[j])})"
+                )
+
+    active = list(range(n))
+    # Each record is (pivot index, row of multipliers) for back-substitution.
+    steps: list[tuple[int, dict[int, GaussianRational]]] = []
+
+    def backsubstitute(vec: dict[int, GaussianRational]) -> PsdResult:
+        for p, row in reversed(steps):
+            value = ZERO
+            for i, m in row.items():
+                if i in vec:
+                    value = value + m * vec[i]
+            if value:
+                vec[p] = -value
+        witness = {basis[i]: c for i, c in vec.items() if c}
+        if gram_quadratic_form(mu, witness).re >= 0:
+            raise AssertionError("internal error: witness fails to certify")
+        return PsdResult(False, witness)
+
+    while active:
+        pivot = None
+        best = None
+        for i in active:
+            d = gram[i][i]
+            if d:
+                if best is None or abs(d.re) > abs(best):
+                    pivot, best = i, d.re
+        if pivot is None:
+            # All active diagonals vanish; any nonzero off-diagonal entry
+            # gives a hyperbolic 2x2 block, hence indefiniteness.
+            for i in active:
+                for j in active:
+                    if i != j and gram[i][j]:
+                        # value of the form on (-b, 1) is -2*|b|^2 < 0
+                        b = gram[i][j]
+                        return backsubstitute({i: -b, j: ONE})
+            return PsdResult(True)
+        d = gram[pivot][pivot]
+        if d.re < 0:
+            return backsubstitute({pivot: ONE})
+        active.remove(pivot)
+        row = {i: gram[pivot][i] / d for i in active if gram[pivot][i]}
+        steps.append((pivot, row))
+        for i in active:
+            ci = gram[i][pivot]
+            if not ci:
+                continue
+            for j in active:
+                rj = row.get(j)
+                if rj is not None:
+                    gram[i][j] = gram[i][j] - ci * rj
+    return PsdResult(True)

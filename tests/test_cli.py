@@ -344,6 +344,8 @@ VEC_HEAD = "# family 1 left: a\n# star: no\n# dim: {dim}\n"
      "line 5: expected 2 coordinates"),
     ("fock", "--vectors", VEC_HEAD.format(dim=1) + "1.a 1.a : 1\n1.a* : 1\n",
      "line 4: expected 'LETTER[*] : v1 v2 ...'"),
+    ("fock", "--vectors", VEC_HEAD.format(dim=1) + "1.a 1\n1.a* : 1\n",
+     "line 4: expected 'LETTER[*] : v1 v2 ...'"),
     ("fock", "--vectors", VEC_HEAD.format(dim=1), "empty vectors file"),
     ("gaussian", "--cov", "# family 1 left: a\n# star: no\n1.a : 1\n",
      "covariance entry 1.a is not a pair of letters"),

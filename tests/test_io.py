@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from util import rand_dist
 
+import bifree.io as bifree_io
 from bifree.cli import main
 from bifree.cumulant import cumulants_from_moments
 from bifree.dist import CumulantTable, Distribution, group_families, point_distribution
@@ -275,6 +276,41 @@ def test_gaussian_fixture_round_trips(rng):
            for u in letters for v in letters}
     g = gaussian_dist(CovarianceSpec(sig, cov), 4)
     assert parse_distribution(format_distribution(g)) == g
+
+
+def test_lines_split_in_blocks_are_the_lines_of_the_text():
+    # every line break splitlines knows, "\r\n" at every offset from a block end
+    text = "a\r\nb\n\rc\x0b\x0cd\x1c\x85e\u2028\r\n\nf \r\r\ng"
+    for tail in ("", "\n", "\r\n"):
+        for block in range(len(text) + 2):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(bifree_io, "_LINE_BLOCK", block)
+                assert list(bifree_io._split_lines(text + tail)) == (text + tail).splitlines()
+
+
+def test_non_canonical_spellings_parse_to_the_canonical_table(rng):
+    sig = FaceSignature((FamilyFaces(1, ("a",), ("c",), True), FamilyFaces(2, ("x",), (), True)))
+    dist = rand_dist(sig, 3, rng, with_imag=True)
+    lines = format_distribution(dist).splitlines()
+    headers = [line.replace("family 1 ", "family 01 ") for line in lines if line[0] == "#"]
+
+    def blanks():
+        return rng.choice([" ", "\t", "  ", " \t "])
+
+    body = []
+    for line in lines[len(headers):]:
+        key, _, value = line.rpartition(" : ")
+        # family 01 is family 1, whichever spelling a token uses
+        tokens = [rng.choice(["01", "1"]) + tok[1:] if tok[:2] == "1." else tok
+                  for tok in key.split(" ")]
+        body.append(rng.choice(["", "\t"]) + blanks().join(tokens) + blanks() + ":"
+                    + blanks() + value + rng.choice(["", " "]))
+        if rng.random() < 0.2:
+            body.append(rng.choice(["", "  ", "\t"]))
+    rng.shuffle(body)
+    text = "\n".join(headers + ["", *body]) + "\n"
+    assert "\t" in text and "01." in text
+    assert parse_distribution(text) == dist
 
 
 def test_restrict_and_errors(rng):

@@ -5,12 +5,15 @@ import pytest
 from oracles import annih_left, create_left, fock_apply, fock_vacuum
 from util import rand_dist, rand_scalar
 
+from bifree.cli import main
 from bifree.cumulant import cumulants_from_moments
+from bifree.dist import Distribution
 from bifree.engine import check_bifree
 from bifree.errors import DomainError, TruncationError
 from bifree.io import (format_covariance, format_vector_spec, parse_covariance,
                        parse_vector_spec)
-from bifree.models import (CovarianceSpec, VectorSpec, _FockWalk, covariance_from_vectors,
+from bifree.models import (CovarianceSpec, VectorSpec, _FockWalk, _involution,
+                           covariance_from_vectors,
                            fock_distribution, gaussian_dist, gram_psd_check,
                            gram_quadratic_form, group_example_dist)
 from bifree.scalars import ONE, ZERO, qi
@@ -263,6 +266,109 @@ def test_psd_check_above_the_table_degree_is_a_truncation_error(rng):
     mu = rand_dist(SIG_LR, 2, rng)
     with pytest.raises(TruncationError, match="moment table degree 2 below requested 4"):
         gram_psd_check(mu, 4)
+
+
+GRAM_SIGNATURES = {
+    "star": FaceSignature((FamilyFaces(1, ("a",), ("b",), True),)),
+    "reversal": FaceSignature((FamilyFaces(1, ("a",), ("b",)), FamilyFaces(2, ("c",), ()))),
+}
+
+
+def _hermitian_table(sig, degree, draw):
+    """Random table with mu(v*) = conj(mu(v)), so its Gram matrix is
+    hermitian; a word equal to its own involution gets a real value."""
+    star = _involution(sig)
+    moments = {(): ONE}
+    for word in sig.words(degree):
+        if word not in moments:
+            x = draw()
+            moments[word] = x if star(word) != word else qi(0) + x.re
+            moments[star(word)] = moments[word].conjugate()
+    return Distribution(sig, degree, moments)
+
+
+def _fock_table(sig, degree, rng, with_imag):
+    """A vacuum state on Fock space, hence a positive table: a star-closed
+    signature swaps h and h*, and self-adjoint letters take h* = h."""
+    keys = [(l.family, l.side, l.index) for l in sig.letters() if not l.star]
+    h = {k: tuple(rand_scalar(rng, with_imag) for _ in range(2)) for k in keys}
+    if sig.star_closed:
+        h_star = {k: tuple(rand_scalar(rng, with_imag) for _ in range(2)) for k in keys}
+    else:
+        h_star = h
+    return fock_distribution(VectorSpec(sig, 2, h, h_star), degree)
+
+
+def _same_outcome(mu, degree):
+    """gram_psd_check decides, witnesses and refuses as the rational
+    elimination does; returns the outcome for the caller to tally."""
+    try:
+        want = oracles.fraction_gram_psd_check(mu, degree)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as got:
+            gram_psd_check(mu, degree)
+        assert str(got.value) == str(exc)
+        return "refused"
+    got = gram_psd_check(mu, degree)
+    assert got.positive == want.positive
+    if want.positive:
+        assert got.witness is None
+        return "positive"
+    assert list(got.witness.items()) == list(want.witness.items())
+    return "indefinite"
+
+
+@pytest.mark.parametrize("with_imag", [False, True])
+@pytest.mark.parametrize("involution", sorted(GRAM_SIGNATURES))
+def test_integer_gram_elimination_matches_the_rational_one(rng, involution, with_imag):
+    sig = GRAM_SIGNATURES[involution]
+    star = _involution(sig)
+    seen = set()
+    for _ in range(3):
+        seen.add(_same_outcome(_fock_table(sig, 4, rng, with_imag), 4))
+    # dense draws mostly meet a negative pivot, sparse ones often leave
+    # only zero diagonals (the hyperbolic branch) or a semidefinite rest
+    def dense():
+        return rand_scalar(rng, with_imag)
+
+    def sparse():
+        return dense() if rng.random() < 0.1 else ZERO
+
+    for draw in (dense,) + (sparse,) * 5:
+        for degree in (2, 4):
+            mu = _hermitian_table(sig, degree, draw)
+            seen.add(_same_outcome(mu, degree))
+            # one entry off its involution's conjugate breaks hermitian symmetry
+            word = rng.choice([w for w in sig.words(degree) if star(w) != w])
+            moments = dict(mu.moments)
+            moments[word] = moments[word] + ONE
+            seen.add(_same_outcome(Distribution(sig, degree, moments), degree))
+    assert {"positive", "indefinite", "refused"} <= seen
+
+
+def test_hyperbolic_witness_is_scaled_by_the_pivots_before_it():
+    # the pivot () leaves a zero diagonal with the entry 3/5 off it
+    moments = {w: ZERO for w in SIG_LR.words(2)}
+    moments[()] = ONE
+    moments[(A, B)] = moments[(B, A)] = qi(3, 5)
+    moments[(A,)] = qi(1, 2)
+    moments[(A, A)] = qi(1, 4)
+    mu = Distribution(SIG_LR, 2, moments)
+    result = gram_psd_check(mu, 2)
+    assert list(result.witness.items()) == list(oracles.fraction_gram_psd_check(mu, 2)
+                                                .witness.items())
+    assert gram_quadratic_form(mu, result.witness).re < 0
+
+
+def test_psd_check_prints_the_rational_witness_on_the_group_table(tmp_path, capsys):
+    path = tmp_path / "group.dist"
+    assert main(["group-example", "--orders", "2,3", "--degree", "6", "--out", str(path)]) == 0
+    mu = group_example_dist([2, 3], 6)
+    want = oracles.fraction_gram_psd_check(mu, 6)
+    expected = "".join(line + "\n" for line in ["indefinite; witness polynomial:",
+                                                 *want.witness_lines()])
+    assert main(["psd-check", "--in", str(path)]) == 1
+    assert capsys.readouterr().out == expected
 
 
 # ---------------------------------------------------------------------------
