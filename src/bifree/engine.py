@@ -29,7 +29,8 @@ Only the vacuum coefficient is ever read, and one step changes a key's
 length by at most one block, so every step is told how many steps are
 still to act after it and keeps no key longer than that: such a key could
 never come back to the vacuum.  Leaf words of a table walk thus keep only
-their vacuum term.
+their vacuum term.  A term that cancels is not deleted: its key keeps a
+zero coefficient, which the next step skips and a read takes as zero.
 
 The public `TensorState` holds the same blocks as `(family, word)` pairs.
 `apply_left`/`apply_right` intern a caller's blocks into a registry of
@@ -104,7 +105,7 @@ def _check_blocks(blocks: TensorWord) -> None:
 # The single transition shared by the public and the table-building paths.
 #
 # State keys are tuples of block ids from one `_Blocks` registry; values
-# support +, *, unary - and truthiness (an int, a Gaussian integer, i.e. a
+# support +, -, * and truthiness (an int, a Gaussian integer, i.e. a
 # GaussianRational with int components, or, in apply_left/apply_right, a
 # GaussianRational).  A summand (is_left, tag, m_a, single), made by
 # `_Blocks.summand`, carries the acting letter's own first moment m_a and
@@ -122,14 +123,16 @@ class _Blocks:
     len(word))`, or None for a word no table holds (a caller's block past
     the degree bound, or of a family without a table); a stored moment is
     never None.  `child[(b, s)]` is the block (tag[b], word[s] + word[b])
-    for the one-letter block s of an acting letter.
+    for the one-letter block s of an acting letter.  `zero` is the walk's
+    typed zero, from which every coefficient a step forms starts.
     """
 
-    __slots__ = ("dists", "scale", "tag", "word", "moment", "child", "ids")
+    __slots__ = ("dists", "scale", "zero", "tag", "word", "moment", "child", "ids")
 
-    def __init__(self, dists: Mapping[object, Distribution], scale):
+    def __init__(self, dists: Mapping[object, Distribution], scale, zero):
         self.dists = dists
         self.scale = scale
+        self.zero = zero
         self.tag: list = []
         self.word: list = []
         self.moment: list = []
@@ -178,21 +181,21 @@ def _apply_step(state: dict, summands, blocks: _Blocks, bound: int) -> dict:
     coefficient is ever read, so a key longer than `bound` could never come
     back to it: a key longer than `bound + 1` is skipped, one of exactly
     `bound + 1` blocks gives only its shorter term, and a block is
-    prepended or appended only to a key shorter than `bound`.  A term that
-    cancels is deleted where it cancels, so the result holds no zero.
+    prepended or appended only to a key shorter than `bound`.  Terms add
+    up from the typed zero `blocks.zero`; a key whose terms cancel keeps a
+    zero coefficient, which the next step skips and a read takes as zero.
     """
     tags = blocks.tag
     moments = blocks.moment
     child = blocks.child
+    zero = blocks.zero
     out: dict = {}
+    get = out.get
     for key, c in state.items():
         n = len(key)
-        if n > bound:
-            if n > bound + 1:
-                continue
-            keep = extend = False
-        else:
-            keep, extend = True, n < bound
+        if n > bound + 1 or not c:
+            continue
+        keep, extend = n <= bound, n < bound
         for is_left, tag, m_a, single in summands:
             if key:
                 head = key[0] if is_left else key[-1]
@@ -204,54 +207,21 @@ def _apply_step(state: dict, summands, blocks: _Blocks, bound: int) -> dict:
                     m_w0 = moments[head]
                     if keep:
                         grown = (aw,) + rest if is_left else rest + (aw,)
-                        acc = out.get(grown)
-                        if acc is None:
-                            out[grown] = c
-                        elif acc := acc + c:
-                            out[grown] = acc
-                        else:
-                            del out[grown]
+                        out[grown] = get(grown, zero) + c
                         if m_w0:
-                            v = c * m_w0
                             short = (single,) + rest if is_left else rest + (single,)
-                            acc = out.get(short)
-                            if acc is None:
-                                out[short] = -v
-                            elif acc := acc - v:
-                                out[short] = acc
-                            else:
-                                del out[short]
+                            out[short] = get(short, zero) - c * m_w0
                     drop = moments[aw] - m_w0 * m_a if m_w0 else moments[aw]
                     if drop:
-                        v = c * drop
-                        acc = out.get(rest)
-                        if acc is None:
-                            out[rest] = v
-                        elif acc := acc + v:
-                            out[rest] = acc
-                        else:
-                            del out[rest]
+                        out[rest] = get(rest, zero) + c * drop
                     continue
             if not keep:
                 continue
             if m_a:
-                v = c * m_a
-                acc = out.get(key)
-                if acc is None:
-                    out[key] = v
-                elif acc := acc + v:
-                    out[key] = acc
-                else:
-                    del out[key]
+                out[key] = get(key, zero) + c * m_a
             if extend:
                 longer = (single,) + key if is_left else key + (single,)
-                acc = out.get(longer)
-                if acc is None:
-                    out[longer] = c
-                elif acc := acc + c:
-                    out[longer] = acc
-                else:
-                    del out[longer]
+                out[longer] = get(longer, zero) + c
     return out
 
 
@@ -276,26 +246,25 @@ class _EvalContext(Dilation):
     def __init__(self, constituents: Sequence[Distribution]):
         dists = dict(enumerate(constituents))
         super().__init__(v for d in dists.values() for v in d.moments.values())
-        self.blocks = _Blocks(dists, self.dilated)
+        self.blocks = _Blocks(dists, self.dilated, self.zero)
 
 
-def _build_table(ctx: _EvalContext, signature: FaceSignature,
-                 letter_steps: Mapping[Letter, Sequence], degree: int) -> Distribution:
-    """Moments of every word of degree <= `degree` over the output letters.
+def _walk(ctx: _EvalContext, letter_steps: Mapping[Letter, Sequence]):
+    """(start, step, read) of the walk whose letters denote `letter_steps`,
+    in the form `tabulate` takes.
 
     letter_steps maps each output letter to the operator steps it denotes
     (several steps mean an operator product, applied right to left; each
     step is a sum of elementary letter actions).  Every letter takes the
-    same number of steps, the width: 1 for `bifree_product` and additive
-    convolution, 2 for multiplicative convolution.  The walk's state is the
-    bare dict of dilated coefficients; a word of n letters has taken
-    width*n steps, so its moment is the vacuum coefficient over D^(width*n).
-    When `remaining` more letters can follow, width*remaining steps act
-    after the letter's last one, and each earlier step of the letter one
-    more: that is each step's bound.
+    same number of steps, the width: 1 for `bifree_product`, `joint_moment`
+    and additive convolution, 2 for multiplicative convolution.  The state
+    is the bare dict of dilated coefficients; a word of n letters has taken
+    width*n steps, so its moment is the vacuum coefficient over
+    D^(width*n).  When `remaining` more letters can follow, width*remaining
+    steps act after the letter's last one, and each earlier step of the
+    letter one more: that is each step's bound.
     """
     blocks = ctx.blocks
-    zero = ctx.zero
     (width,) = {len(steps) for steps in letter_steps.values()} or {0}
 
     def step(letter, state, remaining):
@@ -305,8 +274,17 @@ def _build_table(ctx: _EvalContext, signature: FaceSignature,
             state = _apply_step(state, s, blocks, bound)
         return state
 
-    return tabulate(signature, degree, {(): ctx.one}, step,
-                    lambda state, n: ctx.scalar(state.get((), zero), width * n))
+    def read(state, n):
+        return ctx.scalar(state.get((), ctx.zero), width * n)
+
+    return {(): ctx.one}, step, read
+
+
+def _build_table(ctx: _EvalContext, signature: FaceSignature,
+                 letter_steps: Mapping[Letter, Sequence], degree: int) -> Distribution:
+    """Moments of every word of degree <= `degree` over the output letters,
+    by the walk of `letter_steps` (see `_walk`)."""
+    return tabulate(signature, degree, *_walk(ctx, letter_steps))
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +300,12 @@ def _apply_side(is_left: bool, family, letter: Letter, state: TensorState,
             f"family {family!r}"
         )
     marginal.signature.family_faces(family)  # DomainError unless declared
-    blocks = _Blocks({family: marginal}, lambda value, length: value)
+    blocks = _Blocks({family: marginal}, lambda value, length: value, ZERO)
     # a block of another family is never grown and its moment never read
-    state_ids = {(): state.vacuum} if state.vacuum else {}
+    state_ids = {(): state.vacuum}
     for key, coeff in state.terms.items():
         state_ids[tuple(blocks.intern(t, w) for t, w in key)] = coeff
-    longest = max(map(len, state_ids), default=0)
+    longest = max(map(len, state_ids))
     state_ids = _apply_step(state_ids, (blocks.summand(family, letter),), blocks, longest + 1)
     vacuum = state_ids.pop((), ZERO)
     return TensorState(vacuum, {
@@ -352,15 +330,15 @@ def joint_moment(marginals: Mapping[object, Distribution], word: Word) -> Gaussi
     """Moment of `word` under the bi-free joint distribution of the marginals."""
     ctx = _EvalContext(list(marginals.values()))
     tag_of = {family: i for i, family in enumerate(marginals)}
-    steps = []
+    letter_steps = {}
     for letter in word:
         if letter.family not in tag_of:
             raise DomainError(f"no marginal given for family {letter.family!r}")
-        steps.append((ctx.blocks.summand(tag_of[letter.family], letter),))
-    state = {(): ctx.one}
-    for k, step in enumerate(reversed(steps), start=1):
-        state = _apply_step(state, step, ctx.blocks, len(steps) - k)
-    return ctx.scalar(state.get((), ctx.zero), len(word))
+        letter_steps[letter] = ((ctx.blocks.summand(tag_of[letter.family], letter),),)
+    state, step, read = _walk(ctx, letter_steps)
+    for n, letter in enumerate(reversed(word), start=1):
+        state = step(letter, state, len(word) - n)
+    return read(state, len(word))
 
 
 def bifree_product(marginals: Sequence[Distribution], degree: int) -> Distribution:

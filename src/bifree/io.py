@@ -67,6 +67,10 @@ class _HeaderState:
 
     def feed(self, line: str, lineno: int) -> None:
         if m := _FACE_RE.match(line):
+            if m.group(1).startswith("#"):
+                raise ParseError(
+                    f"family id {m.group(1)!r} starts with '#', so its letters "
+                    "would read as header lines", lineno)
             fid = _family_id(m.group(1), lineno)
             side, indices = m.group(2), tuple(m.group(3).split())
             try:
@@ -264,7 +268,14 @@ def parse_covariance(text: str) -> CovarianceSpec:
 
 
 def _emit_headers(signature: FaceSignature, kind: str | None, *extra: str) -> list[str]:
-    """Face and star headers, then the `extra` lines, then `# kind:` if given."""
+    """Face and star headers, then the `extra` lines, then `# kind:` if given.
+    One `# star:` header covers every family, so a signature whose families
+    disagree on star closure is refused."""
+    first = {fam.star_closed: fam.family for fam in reversed(signature.families)}
+    if len(first) > 1:
+        raise SignatureError(
+            f"star-closed family {first[True]!r} and family {first[False]!r} without "
+            "star closure cannot share the one '# star:' header of the text format")
     lines = []
     for fam in signature.families:
         if fam.left:

@@ -109,29 +109,25 @@ class _FockWalk(Dilation):
         Each of the `remaining` letters still to act changes a key's length
         by one and only the vacuum term is read, so creation keeps a key
         only if it is shorter than `remaining`, and annihilation only if it
-        has at most `remaining + 1` slots."""
+        has at most `remaining + 1` slots.  A term that cancels leaves a
+        zero coefficient, which the next step skips and `read` reads as 0."""
         is_left, vid, table = self.moves[letter]
+        zero = self.zero
         if is_left:
-            out = {(vid,) + key: c for key, c in state.items() if len(key) < remaining}
+            out = {(vid,) + key: c for key, c in state.items() if c and len(key) < remaining}
             end, rest = 0, slice(1, None)
         else:
-            out = {key + (vid,): c for key, c in state.items() if len(key) < remaining}
+            out = {key + (vid,): c for key, c in state.items() if c and len(key) < remaining}
             end, rest = -1, slice(None, -1)
         for key, c in state.items():
-            if key and len(key) <= remaining + 1 and (t := table[key[end]]):
+            if key and c and len(key) <= remaining + 1 and (t := table[key[end]]):
                 shorter = key[rest]
-                acc = out.get(shorter)
-                value = c * t if acc is None else acc + c * t
-                if value:
-                    out[shorter] = value
-                else:
-                    del out[shorter]
+                out[shorter] = out.get(shorter, zero) + c * t
         return out
 
     def read(self, state: dict, n: int) -> GaussianRational:
-        """The vacuum term over D^(n//2); odd words have none and read ZERO."""
-        value = state.get(())
-        return ZERO if value is None else self.scalar(value, n // 2)
+        """The vacuum term over D^(n//2); odd words have none and read zero."""
+        return self.scalar(state.get((), self.zero), n // 2)
 
 
 def fock_distribution(spec: VectorSpec, degree: int) -> Distribution:

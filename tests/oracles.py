@@ -16,11 +16,15 @@ operators to tensors of coordinate vectors, one word at a time, sharing
 nothing with the library's Fock walk but `VectorSpec.operator_vectors`.
 The Gram positivity check eliminates over the rationals, where the library
 eliminates fraction-free on the dilated integers; the two share only the
-involution and the witness's self-check `gram_quadratic_form`.
+involution and the witness's self-check `gram_quadratic_form`.  The
+bi-free partial S-transform is a truncated power series in the moments
+alone, so its product law checks the multiplicative convolution without
+any operator walk.
 """
 
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
@@ -452,3 +456,95 @@ def fraction_gram_psd_check(mu: Distribution, degree: int) -> PsdResult:
                 if rj is not None:
                     gram[i][j] = gram[i][j] - ci * rj
     return PsdResult(True)
+
+
+# ---------------------------------------------------------------------------
+# Bi-free partial S-transform of a left letter a and a right letter b
+# (Voiculescu, "Free probability for pairs of faces III: 2-variables bi-free
+# partial S- and T-transforms").  With psi_a(z) = sum_{m>=1} phi(a^m) z^m,
+# chi_a its compositional inverse (which needs phi(a) != 0) and
+# H(u, v) = sum_{m,n>=0} phi(a^m b^n) u^m v^n,
+#     S(z, w) = (1+z)(1+w)/(zw) * (1 - (1+z+w) / H(chi_a(z), chi_b(w))),
+# and S of the letter-wise product of a bi-free pair is the product of the
+# pair's S.  A univariate series is a list of Fraction coefficients, a
+# bivariate one a dict (i, j) -> Fraction; both are truncated at a total
+# degree `order`.
+
+
+def _mul1(f, g, order):
+    out = [Fraction(0)] * (order + 1)
+    for i, x in enumerate(f[:order + 1]):
+        for j, y in enumerate(g[:order + 1 - i]):
+            out[i + j] += x * y
+    return out
+
+
+def _powers(g, order):
+    """[g^0, ..., g^order], each truncated at degree `order`."""
+    powers = [[Fraction(1)] + [Fraction(0)] * order]
+    for _ in range(order):
+        powers.append(_mul1(powers[-1], g, order))
+    return powers
+
+
+def _compositional_inverse(psi, order):
+    """chi with psi(chi(z)) = z up to degree `order`; psi[0] = 0 != psi[1].
+    The coefficient of z^n in psi(chi(z)) is psi[1]*chi[n] plus terms in
+    chi[1..n-1] alone, which fixes chi[n]."""
+    chi = [Fraction(0), 1 / psi[1]] + [Fraction(0)] * (order - 1)
+    for n in range(2, order + 1):
+        powers = _powers(chi, order)
+        chi[n] = -sum(psi[m] * powers[m][n] for m in range(1, n + 1)) / psi[1]
+    return chi
+
+
+def series_mul(f, g, order):
+    """f*g, bivariate, with every coefficient of total degree <= order."""
+    out = {(i, j): Fraction(0) for i in range(order + 1) for j in range(order + 1 - i)}
+    for (i, j), x in f.items():
+        for (k, l), y in g.items():
+            if i + j + k + l <= order:
+                out[(i + k, j + l)] += x * y
+    return out
+
+
+def _reciprocal(h, order):
+    """1/h, bivariate, h[(0, 0)] != 0; coefficients in graded order."""
+    g = {}
+    for total in range(order + 1):
+        for i in range(total + 1):
+            j = total - i
+            acc = sum(h.get((k, l), 0) * g[(i - k, j - l)]
+                      for k in range(i + 1) for l in range(j + 1) if k or l)
+            g[(i, j)] = ((1 if total == 0 else 0) - acc) / h[(0, 0)]
+    return g
+
+
+def s_transform(dist: Distribution, a: Letter, b: Letter, order: int):
+    """{(i, j): coefficient of z^i w^j of S}, i + j <= order, of the left
+    letter a and the right letter b of a real table of degree >= order + 2."""
+    top = order + 2
+
+    def phi(m, n):
+        value = dist.moment((a,) * m + (b,) * n)
+        assert value.is_real
+        return value.re
+
+    chi_a = _compositional_inverse([phi(m, 0) if m else 0 for m in range(top + 1)], top)
+    chi_b = _compositional_inverse([phi(0, n) if n else 0 for n in range(top + 1)], top)
+    pa, pb = _powers(chi_a, top), _powers(chi_b, top)
+    # chi_a^m starts at z^m, so H's terms of total degree <= top suffice
+    composed = {(i, j): Fraction(0) for i in range(top + 1) for j in range(top + 1 - i)}
+    for m in range(top + 1):
+        for n in range(top + 1 - m):
+            c = phi(m, n)
+            for i in range(m, top + 1):
+                for j in range(n, top + 1 - i):
+                    composed[(i, j)] += c * pa[m][i] * pb[n][j]
+    quotient = series_mul({(0, 0): 1, (1, 0): 1, (0, 1): 1}, _reciprocal(composed, top), top)
+    numerator = {key: (1 if key == (0, 0) else 0) - v for key, v in quotient.items()}
+    # H(chi_a(z), 0) = 1 + psi_a(chi_a(z)) = 1 + z, so the numerator vanishes
+    # on both axes: it is divisible by zw
+    assert not any(v for (i, j), v in numerator.items() if not (i and j))
+    shifted = {(i - 1, j - 1): v for (i, j), v in numerator.items() if i and j}
+    return series_mul({(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}, shifted, order)

@@ -240,6 +240,22 @@ def test_product_output_is_deterministic(tmp_path, rng):
     assert outs[0] == outs[1]
 
 
+def test_product_of_star_closed_and_plain_tables_is_refused(tmp_path, rng, capsys):
+    # the joint table would hold starred letters of family 2 under the one
+    # '# star: no' header, which no reader accepts
+    sig2 = two_faced(left=("a",), right=("c",), family=2, star=True)
+    p1, p2 = tmp_path / "m1.dist", tmp_path / "m2.dist"
+    p1.write_text(format_distribution(rand_dist(SIG, 2, rng)))
+    p2.write_text(format_distribution(rand_dist(sig2, 2, rng)))
+    out = tmp_path / "j.dist"
+    assert main(["product", "--in", str(p1), "--in", str(p2), "--degree", "2",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: star-closed family 2 and family 1 without star closure cannot share "
+        "the one '# star:' header of the text format\n")
+    assert not out.exists()
+
+
 def test_jobs_option_is_gone(mu_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["product", "--in", str(mu_path), "--jobs", "2"])

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from oracles import s_transform, series_mul
 from util import coprime_dist, rand_dist
 
 from bifree.convolve import boxplus2, boxtimes2
@@ -8,7 +9,7 @@ from bifree.dist import Distribution, ones_distribution, point_distribution
 from bifree.engine import bifree_product, joint_moment
 from bifree.errors import SignatureError, TruncationError
 from bifree.scalars import ONE, ZERO, qi
-from bifree.words import LEFT, Letter, two_faced
+from bifree.words import LEFT, RIGHT, Letter, two_faced
 
 SIG = two_faced(left=("a",), right=("c",), family=1)
 A = Letter(1, LEFT, "a")
@@ -97,6 +98,28 @@ def test_multiplicative_matches_doubled_word_route(rng):
 def test_multiplicative_on_complex_coprime_denominators(rng):
     mu, nu = coprime_dist(SIG, 3, rng, 7, 11), coprime_dist(SIG, 3, rng, 13, 1)
     _assert_matches_doubled_word_route(mu, nu, 3)
+
+
+def test_s_transform_of_boxtimes_is_the_product_of_the_s_transforms(rng):
+    # S to total degree 5 reads every moment a^m c^n of the degree-7 tables
+    c = Letter(1, RIGHT, "c")
+    degree, order = 7, 5
+    for _ in range(3):
+        mu, nu = rand_dist(SIG, degree, rng), rand_dist(SIG, degree, rng)
+        for dist in (mu, nu):  # S needs nonzero means
+            for letter in (A, c):
+                dist.moments[(letter,)] = qi(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+        expected = series_mul(s_transform(mu, A, c, order), s_transform(nu, A, c, order), order)
+        product = boxtimes2(mu, nu, degree)
+        assert s_transform(product, A, c, order) == expected
+        assert s_transform(boxplus2(mu, nu, degree), A, c, order) != expected
+    # a change to any one mixed moment a^m c^n of the last product breaks it
+    for m, n in itertools.product(range(1, degree), repeat=2):
+        if m + n <= degree:
+            moments = dict(product.moments)
+            moments[(A,) * m + (c,) * n] += qi(1, 7)
+            perturbed = Distribution(SIG, degree, moments)
+            assert s_transform(perturbed, A, c, order) != expected, (m, n)
 
 
 def test_multiplicative_example_single_left_variable():

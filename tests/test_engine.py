@@ -7,9 +7,9 @@ from oracles import free_product_moment, naive_joint_moment
 from util import coprime_dist, rand_dist
 
 from bifree.dist import Distribution, group_families
-from bifree.engine import (TensorState, _apply_step, _build_table, _EvalContext, apply_left,
-                           apply_right, bifree_product, check_bifree, joint_moment,
-                           vacuum_coefficient, vacuum_state)
+from bifree.engine import (TensorState, _apply_step, _build_table, _EvalContext, _walk,
+                           apply_left, apply_right, bifree_product, check_bifree,
+                           joint_moment, vacuum_coefficient, vacuum_state)
 from bifree.errors import DomainError, SignatureError, TruncationError
 from bifree.io import format_distribution
 from bifree.scalars import ONE, ZERO, GaussianRational, _dilate, qi
@@ -499,11 +499,9 @@ def _unbounded_step(state, summands, blocks):
 
 def _check_bounded_steps(state, summands, blocks):
     full = _unbounded_step(state, summands, blocks)
-    assert all(full.values())
     for bound in range(max(map(len, state), default=0) + 2):
         bounded = _apply_step(state, summands, blocks, bound)
         assert bounded == {key: v for key, v in full.items() if len(key) <= bound}
-        assert all(bounded.values())
     return full
 
 
@@ -521,13 +519,14 @@ def test_bounded_step_is_the_unbounded_step_truncated(rng):
                 state = _check_bounded_steps(state, summands, ctx.blocks)
 
 
-def test_bounded_step_deletes_the_terms_that_cancel(rng):
+def test_zero_coefficients_add_nothing_and_a_cancelled_vacuum_reads_zero(rng):
     # letter a acting on {(): drop, (a,): -m_a} adds drop*m_a and then
-    # -m_a*drop to the vacuum, where drop = m(aa) - m(a)^2: no vacuum key
-    # may be left
-    cancelled = 0
+    # -m_a*drop to the vacuum, where drop = m(aa) - m(a)^2: the vacuum key
+    # is left with a zero coefficient, and the walk reads it as 0
+    cancelled = zeroed = 0
     for ctx, letter_steps in _step_contexts(rng):
         blocks = ctx.blocks
+        _, _, read = _walk(ctx, letter_steps)
         for steps in letter_steps.values():
             summands = steps[-1]  # the step that acts first
             if len(summands) > 1:  # boxplus sums two letters
@@ -536,9 +535,25 @@ def test_bounded_step_deletes_the_terms_that_cancel(rng):
             drop = blocks.moment[blocks.grow(single, single)] - m_a * m_a
             if m_a and drop:
                 out = _check_bounded_steps({(): drop, (single,): -m_a}, summands, blocks)
-                assert () not in out
+                assert out[()] == ctx.zero and type(out[()]) is type(ctx.zero)
+                assert read(out, 1) == ZERO
                 cancelled += 1
-    assert cancelled >= 8
+        # a key with a zero coefficient, whether it replaces a term of the
+        # state or is new to it, contributes nothing to the next step
+        letters = list(letter_steps)
+        for _ in range(10):
+            state = {(): ctx.one}
+            for letter in rng.choices(letters, k=rng.randint(1, 3)):
+                for summands in reversed(letter_steps[letter]):
+                    state = _unbounded_step(state, summands, blocks)
+            summands = rng.choice(letter_steps[rng.choice(letters)])
+            stepped = _unbounded_step(state, summands, blocks)
+            for key in set(state) | set(stepped):
+                rest = {k: v for k, v in state.items() if k != key}
+                assert (_check_bounded_steps({**state, key: ctx.zero}, summands, blocks)
+                        == _unbounded_step(rest, summands, blocks))
+                zeroed += 1
+    assert cancelled >= 8 and zeroed > 100
 
 
 def test_pruned_joint_moments_keep_every_value_and_every_error(rng):
@@ -546,7 +561,7 @@ def test_pruned_joint_moments_keep_every_value_and_every_error(rng):
     # the degree the walk prunes keys that the unpruned expansion would
     # grow, and it must still raise TruncationError exactly where that does.
     # The naive expansion keeps zero terms, so it also grows blocks whose
-    # coefficient a zero moment cancelled, which the engine drops; tables
+    # coefficient a zero moment cancelled, which the engine skips; tables
     # with no zero moment make "exactly where" well defined.
     sig1 = two_faced(left=("a",), right=("c",), family=1)
     sig2 = two_faced(left=("b",), right=("d",), family=2)

@@ -257,6 +257,30 @@ def test_face_index_no_letter_can_name_is_refused_at_its_header_line():
         parse_distribution(MINIMAL.replace("1.a :", "2.a :"))
 
 
+def test_family_id_starting_with_a_hash_is_refused_at_its_header_line():
+    # each body line '#f.a : ...' would read as a header line
+    text = MINIMAL.replace("1 left", "#f left").replace("1.a :", "#f.a :")
+    with pytest.raises(ParseError, match="^line 1: family id '#f' starts with '#', so its "
+                                         "letters would read as header lines$"):
+        parse_distribution(text)
+
+
+def test_mixed_star_closure_is_refused_by_every_writer(rng):
+    sig = FaceSignature((FamilyFaces(1, ("a",), (), False), FamilyFaces("x", ("b",), (), True),
+                         FamilyFaces(3, ("c",), (), True)))
+    dist = rand_dist(sig, 2, rng)
+    message = ("^star-closed family 'x' and family 1 without star closure cannot share "
+               "the one '# star:' header of the text format$")
+    for write in (format_distribution, lambda d: format_cumulant_table(
+            cumulants_from_moments(d, 2))):
+        with pytest.raises(SignatureError, match=message):
+            write(dist)
+    # one kind of family alone is written as before
+    for keep in ((1,), ("x", 3)):
+        sub = dist.restrict(keep)
+        assert parse_distribution(format_distribution(sub)) == sub
+
+
 def test_complex_scalar_format_matches_spec_example():
     sig = two_faced(left=("a",), right=("c",), family=1, star=True)
     moments = {w: (ONE if not w else qi(0)) for w in sig.words(2)}

@@ -159,6 +159,39 @@ def test_fock_walk_matches_oracle_word_by_word():
     assert sum(1 for v in tab.moments.values() if v and not v.is_real) > 100
 
 
+def test_fock_zero_coefficients_add_nothing_and_a_cancelled_vacuum_reads_zero(rng):
+    # 1.a annihilates the slots of 1.a and 1.b with the nonzero inner
+    # products t_a and t_b, so on {(a,): t_b, (b,): -t_a} it leaves the
+    # vacuum key with a zero coefficient, which reads as 0
+    sig = FaceSignature((FamilyFaces(1, ("a",), ("b",), False),
+                         FamilyFaces(2, ("a",), (), False)))
+    a1, b1, a2 = ((l.family, l.side, l.index) for l in sig.letters())
+    h = {a1: (ONE, ZERO), b1: (ZERO, qi(0, 1, 1, 1)), a2: (ONE, ONE)}
+    h_star = {a1: (qi(2), qi(3, 5)), b1: (qi(1, 2), qi(-1)), a2: (qi(1, 3), qi(0, 1, 5, 7))}
+    walk = _FockWalk(VectorSpec(sig, 2, h, h_star))
+    _, vid_a, table = walk.moves[Letter(*a1)]
+    vid_b = walk.moves[Letter(*b1)][1]
+    assert table[vid_a] and table[vid_b]
+    out = walk.step(Letter(*a1), {(vid_a,): table[vid_b], (vid_b,): -table[vid_a]}, 0)
+    assert out == {(): walk.zero} and type(out[()]) is type(walk.zero)
+    assert walk.read(out, 2) == ZERO
+    # a key with a zero coefficient, whether it replaces a term of the state
+    # or is new to it, contributes nothing to the next step
+    letters = sig.letters()
+    zeroed = 0
+    for _ in range(20):
+        state = walk.start
+        for letter in rng.choices(letters, k=rng.randint(1, 4)):
+            state = walk.step(letter, state, 6)
+        letter, remaining = rng.choice(letters), rng.randint(0, 4)
+        for key in set(state) | set(walk.step(letter, state, 6)):
+            rest = {k: v for k, v in state.items() if k != key}
+            assert (walk.step(letter, {**state, key: walk.zero}, remaining)
+                    == walk.step(letter, rest, remaining))
+            zeroed += 1
+    assert zeroed > 100
+
+
 def test_fock_equals_gaussian_small():
     spec = unit_vector_spec(SIG_LR)
     assert fock_distribution(spec, 4) == gaussian_dist(covariance_from_vectors(spec), 4)
