@@ -51,8 +51,7 @@ def _dist_output(dist: Distribution, fmt: str) -> str:
     if fmt == "dist":
         return format_distribution(dist)
     lines = ["word,moment,decimal"]
-    for word in dist.signature.words(dist.degree):
-        value = dist.moments[word]
+    for word, value in zip(dist.signature.words(dist.degree), dist.ranked):
         sign = "-" if value.is_real and value.re < 0 else ""
         lines.append(
             f'"{format_word(word)}","{format_scalar(value)}",{sign}{decimal_magnitude(value)}'
@@ -188,16 +187,14 @@ def _run(args) -> int:
         _write(args.out, _dist_output(table, args.format))
         if args.compare:
             mismatches = [
-                w for w in spec.signature.words(degree)
-                if table.moments[w] != expected.moments[w]
+                (w, found, want)
+                for w, found, want in zip(spec.signature.words(degree), table.ranked,
+                                          expected.ranked)
+                if found != want
             ]
             if mismatches:
-                for w in mismatches:
-                    print(
-                        f"{format_word(w)} : fock {table.moments[w]} "
-                        f"gaussian {expected.moments[w]}",
-                        file=sys.stderr,
-                    )
+                for w, found, want in mismatches:
+                    print(f"{format_word(w)} : fock {found} gaussian {want}", file=sys.stderr)
                 return 1
         return 0
 

@@ -37,11 +37,10 @@ def _square_root(n: int) -> int:
 
 def _scaled_sum(cumulants: CumulantTable, root: int) -> Distribution:
     """Moments of the scaled sum from the cumulants of one copy; N = root^2."""
-    scaled = {}
-    for word, value in cumulants.values.items():
-        # N^(1 - m/2) = root^(2 - m)
-        factor = GaussianRational(Fraction(root) ** (2 - len(word)))
-        scaled[word] = factor * value
+    # N^(1 - m/2) = root^(2 - m) for a word of m letters
+    factors = [GaussianRational(Fraction(root) ** (2 - m))
+               for m in range(cumulants.signature.longest(cumulants.degree) + 1)]
+    scaled = [factors[len(word)] * value for word, value in cumulants.values.items()]
     table = CumulantTable(cumulants.signature, cumulants.degree, scaled)
     return moments_from_cumulants(table, cumulants.degree)
 
@@ -105,21 +104,22 @@ def clt_report(mu: Distribution, ns, degree: int) -> CltReport:
     )
     limit = gaussian_dist(cov, degree)
     rows: list[CltRow] = []
-    errors: dict[Word, dict[int, GaussianRational]] = {}
+    # N -> the error of every word, in graded-lex order
+    errors: dict[int, list[GaussianRational]] = {}
     # the transform refuses a degree past mu's, which an empty N list never needs
     cumulants = cumulants_from_moments(mu, degree) if ns else None
     for n, root in zip(ns, roots):
         s_n = _scaled_sum(cumulants, root)
-        for word in mu.signature.words(degree):
-            error = s_n.moment(word) - limit.moment(word)
-            rows.append(CltRow(word, n, s_n.moment(word), limit.moment(word), error))
-            errors.setdefault(word, {})[n] = error
-    decay_ok = True
-    for word, by_n in errors.items():
-        ordered = sorted(by_n)
-        for smaller, larger in zip(ordered, ordered[1:]):
-            lhs = larger * larger * _magnitude_squared(by_n[larger])
-            rhs = smaller * smaller * _magnitude_squared(by_n[smaller])
-            if lhs > rhs:
-                decay_ok = False
+        errors[n] = []
+        for word, moment, gaussian in zip(mu.signature.words(degree), s_n.ranked,
+                                          limit.ranked):
+            error = moment - gaussian
+            rows.append(CltRow(word, n, moment, gaussian, error))
+            errors[n].append(error)
+    ordered = sorted(errors)
+    decay_ok = all(
+        larger * larger * _magnitude_squared(big) <= smaller * smaller * _magnitude_squared(small)
+        for smaller, larger in zip(ordered, ordered[1:])
+        for small, big in zip(errors[smaller], errors[larger])
+    )
     return CltReport(degree, ns, rows, decay_ok)

@@ -17,12 +17,14 @@ once with `Dilation.scalar(v, |w|)`.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
+from operator import mul
 
 from .dist import CumulantTable, Distribution
 from .errors import TruncationError
 from .scalars import ONE, Dilation, GaussianRational
-from .words import LEFT, Word
+from .words import LEFT
 
 
 @lru_cache(maxsize=None)
@@ -48,34 +50,55 @@ def _first_blocks(lefts: tuple[bool, ...]):
     return tuple(out)
 
 
-def _lower_terms(word: Word, kappa, mu, zero):
-    """mu(w) - kappa(w): the first-block sum without the whole-word block."""
+def _lower_terms(digits: tuple[int, ...], lefts, kappa, mu, ranker, zero):
+    """mu(w) - kappa(w): the first-block sum without the whole-word block.
+    `digits` are w's letter indices and `ranker(digits, positions)` is the
+    rank of the sub-word at `positions`."""
     total = zero
-    for block, gaps in _first_blocks(tuple(letter.side == LEFT for letter in word)):
-        term = kappa[tuple(word[i] for i in block)]
+    for block, gaps in _first_blocks(lefts):
+        term = kappa[ranker(digits, block)]
         for gap in gaps:
             if not term:
                 break
-            term = term * mu[tuple(word[i] for i in gap)]
+            term = term * mu[ranker(digits, gap)]
         if term:
             total = total + term
     return total
 
 
-def _solve(signature, degree: int, given: dict,
-           given_moments: bool) -> dict[Word, GaussianRational]:
+def _solve(signature, degree: int, given: list, given_moments: bool) -> list:
     """Cumulants from the moments `given` (`given_moments`), or moments from
-    the cumulants `given`, of the nonempty words up to `degree`, on both
-    tables dilated by D^|w|; each word is divided once at the end."""
-    words = [w for w in signature.words(degree) if w]
-    dil = Dilation(given[w] for w in words)
-    known = {w: dil.dilated(given[w], len(w)) for w in words}
-    solved: dict = {}
+    the cumulants `given`, of the nonempty words up to `degree`, listed in
+    graded-lex order, on both tables dilated by D^|w|; each word is divided
+    once at the end.  Both tables are lists indexed by rank, the empty
+    word's place unused."""
+    alphabet = signature.letters()
+    size = len(alphabet)
+    is_left = [letter.side == LEFT for letter in alphabet]
+    lengths = range(1, signature.longest(degree) + 1)
+    offsets = [signature.word_count(n - 1) for n in range(len(lengths) + 1)]
+    # the rank of a sub-word is its length's offset plus its digits read in base L
+    weights = [tuple(size ** (n - 1 - i) for i in range(n)) for n in range(len(lengths) + 1)]
+
+    def ranker(digits, positions):
+        return offsets[len(positions)] + sum(map(mul, map(digits.__getitem__, positions),
+                                                 weights[len(positions)]))
+
+    dil = Dilation(given)
+    known = [None]
+    for n in lengths:
+        known.extend(dil.dilated(v, n) for v in given[offsets[n] - 1:offsets[n] + size ** n - 1])
+    solved = [None] * len(known)
     kappa, mu = (solved, known) if given_moments else (known, solved)
-    for w in words:
-        lower = _lower_terms(w, kappa, mu, dil.zero)
-        solved[w] = known[w] - lower if given_moments else known[w] + lower
-    return {w: dil.scalar(v, len(w)) for w, v in solved.items()}
+    rank = 1
+    for n in lengths:
+        for digits in itertools.product(range(size), repeat=n):
+            lower = _lower_terms(digits, tuple(map(is_left.__getitem__, digits)), kappa, mu,
+                                 ranker, dil.zero)
+            solved[rank] = known[rank] - lower if given_moments else known[rank] + lower
+            rank += 1
+    return [dil.scalar(solved[offsets[n] + r], n)
+            for n in lengths for r in range(size ** n)]
 
 
 def cumulants_from_moments(mu: Distribution, degree: int) -> CumulantTable:
@@ -84,7 +107,9 @@ def cumulants_from_moments(mu: Distribution, degree: int) -> CumulantTable:
         raise TruncationError(
             f"cumulants at degree {degree} need moments at that degree"
         )
-    return CumulantTable(mu.signature, degree, _solve(mu.signature, degree, mu.moments, True))
+    count = mu.signature.word_count(degree)
+    return CumulantTable(mu.signature, degree,
+                         _solve(mu.signature, degree, mu.ranked[1:count], True))
 
 
 def moments_from_cumulants(table: CumulantTable, degree: int) -> Distribution:
@@ -93,13 +118,12 @@ def moments_from_cumulants(table: CumulantTable, degree: int) -> Distribution:
         raise TruncationError(
             f"moments at degree {degree} need cumulants at that degree"
         )
+    count = table.signature.word_count(degree)
     return Distribution(table.signature, degree,
-                        {(): ONE, **_solve(table.signature, degree, table.values, False)})
+                        [ONE] + _solve(table.signature, degree, table.ranked[:count - 1], False))
 
 
 def dilate(mu: Distribution, s: GaussianRational) -> Distribution:
     """Scale every variable by s: the moment of a word picks up s^degree."""
-    return Distribution(
-        mu.signature, mu.degree,
-        {w: (s ** len(w)) * v for w, v in mu.moments.items()},
-    )
+    return Distribution(mu.signature, mu.degree,
+                        [(s ** len(w)) * v for w, v in mu.moments.items()])

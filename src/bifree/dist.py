@@ -2,99 +2,222 @@
 
 A Distribution holds one exact scalar for every word up to its degree
 bound and is normalized at the empty word.  A CumulantTable is the same
-minus the empty word.  Both validate totality on construction, naming the
-first missing word in graded-lex order.  `tabulate` builds the table of
-operators that act letter by letter on a state, sharing suffixes.
+table type minus the empty word.  Both store their values in one list,
+`ranked`, in the graded-lex order of `FaceSignature.words`, so the value
+of a word of rank r (see `FaceSignature.rank`) is `ranked[r]`, or
+`ranked[r - 1]` in a cumulant table.  Every whole-table sweep zips the
+words with that list; `moments` and `values` are read-only by-word views
+of it for readers that look up single words.  A table built from a
+mapping is checked for totality, naming the first missing word in
+graded-lex order.  `tabulate` builds the table of operators that act
+letter by letter on a state, sharing suffixes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping
+import itertools
+from collections.abc import ItemsView, Mapping, ValuesView
+from typing import Callable
 
 from .errors import DomainError, IncompleteTableError, NormalizationError, TruncationError
 from .scalars import ONE, ZERO, GaussianRational
-from .words import FaceSignature, FamilyFaces, Letter, Word, format_word
+from .words import FaceSignature, FamilyFaces, Letter, Word, format_letter, format_word
+
+# The most entries a table or Gram matrix may have: a larger request is
+# refused before its list is allocated.
+MAX_WORDS = 10**7
 
 
-def _validate_table(signature: FaceSignature, degree: int, table: Mapping,
-                    include_empty: bool) -> None:
-    if degree < 1:
-        raise DomainError("degree bound must be >= 1")
-    expected = 0
-    for word in signature.words(degree):
-        if not word and not include_empty:
-            continue
-        expected += 1
-        if word not in table:
-            raise IncompleteTableError(format_word(word))
-    if len(table) != expected:
-        known = set(signature.words(degree))
-        for word in table:
-            if word not in known or (not word and not include_empty):
-                raise DomainError(f"unexpected word {format_word(word)} in table")
+def check_size(count: int, what: str) -> None:
+    """Refuse `what`, of `count` entries, if that is more than MAX_WORDS."""
+    if count > MAX_WORDS:
+        raise DomainError(f"{what} has {count} entries, more than the limit of {MAX_WORDS}")
 
 
-@dataclass
-class Distribution:
-    """Exact joint moments of a two-faced system, truncated at `degree`."""
-
-    signature: FaceSignature
-    degree: int
-    moments: dict[Word, GaussianRational]
-
-    def __post_init__(self):
-        _validate_table(self.signature, self.degree, self.moments, include_empty=True)
-        if self.moments[()] != ONE:
-            raise NormalizationError("moment of the empty word must be 1")
-
-    def moment(self, word: Word) -> GaussianRational:
-        if len(word) > self.degree:
-            raise TruncationError(
-                f"word {format_word(word)} exceeds degree bound {self.degree}"
-            )
-        return self.moments[word]
-
-    def restrict(self, families) -> Distribution:
-        """Moments of the words supported on the given families (Cor 2.10-style)."""
-        sub = self.signature.restrict(families)
-        return Distribution(sub, self.degree, {w: self.moments[w] for w in sub.words(self.degree)})
-
-    def retag(self, mapping: Mapping) -> Distribution:
-        """Rename family ids via `mapping` (missing ids are kept)."""
-        def fid(f):
-            return mapping.get(f, f)
-
-        families = tuple(
-            FamilyFaces(fid(f.family), f.left, f.right, f.star_closed)
-            for f in self.signature.families
-        )
-        moments = {
-            tuple(Letter(fid(l.family), l.side, l.index, l.star) for l in w): v
-            for w, v in self.moments.items()
-        }
-        return Distribution(FaceSignature(families), self.degree, moments)
+def check_table_size(signature: FaceSignature, degree: int) -> None:
+    """Refuse a table over `signature` to `degree` of more than MAX_WORDS words."""
+    letters = len(signature.letters())
+    what = f"a table of {letters} letters to degree {degree}"
+    if letters > 1 and degree >= 64:  # too many words to be worth counting
+        raise DomainError(f"{what} has more than 2**64 entries, more than the limit of "
+                          f"{MAX_WORDS}")
+    check_size(signature.word_count(degree), what)
 
 
-@dataclass
-class CumulantTable:
-    """Exact cumulants, one per nonempty word up to `degree`."""
+class _ByWord(Mapping):
+    """Read-only view of a table's `ranked` list as a word -> value mapping,
+    iterated in graded-lex order."""
 
-    signature: FaceSignature
-    degree: int
-    values: dict[Word, GaussianRational]
+    __slots__ = ("_table",)
 
-    def __post_init__(self):
-        _validate_table(self.signature, self.degree, self.values, include_empty=False)
+    def __init__(self, table: WordTable):
+        self._table = table
 
-    def value(self, word: Word) -> GaussianRational:
-        if not word:
+    def __getitem__(self, word: Word) -> GaussianRational:
+        table = self._table
+        if not table.shortest <= len(word) <= table.degree:
+            raise KeyError(word)
+        try:
+            rank = table.signature.rank(word)
+        except KeyError:
+            raise KeyError(word) from None
+        return table.ranked[rank - table.shortest]
+
+    def __iter__(self):
+        return self._table.words()
+
+    def __len__(self) -> int:
+        return len(self._table.ranked)
+
+    def items(self):
+        return _Items(self)
+
+    def values(self):
+        return _Values(self)
+
+
+class _Items(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        table = self._mapping._table
+        return zip(table.words(), table.ranked)
+
+
+class _Values(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(self._mapping._table.ranked)
+
+
+class WordTable:
+    """One exact scalar per word of length `shortest` to `degree`, held in
+    `ranked` in graded-lex order.
+
+    `values` is that list itself, taken as is, or a mapping word -> scalar,
+    which must hold exactly those words.
+    """
+
+    shortest = 0
+
+    def __init__(self, signature: FaceSignature, degree: int, values):
+        if degree < 1:
+            raise DomainError("degree bound must be >= 1")
+        self.signature = signature
+        self.degree = degree
+        if isinstance(values, list):
+            if len(values) != self._count():
+                self._refuse_length(len(values))
+            self.ranked = values
+        else:
+            self.ranked = self._from_mapping(values)
+        self._view = _ByWord(self)
+
+    def _count(self) -> int:
+        return self.signature.word_count(self.degree) - self.shortest
+
+    def words(self):
+        """The table's words in graded-lex order, as `ranked` holds them."""
+        return itertools.islice(self.signature.words(self.degree), self.shortest, None)
+
+    def _refuse_length(self, length: int) -> None:
+        if length < self._count():
+            raise IncompleteTableError(format_word(next(itertools.islice(self.words(), length,
+                                                                         None))))
+        raise DomainError(f"{length} values for a table of {self._count()} words")
+
+    def _from_mapping(self, table: Mapping) -> list:
+        try:
+            values = [table[word] for word in self.words()]
+        except KeyError:
+            missing = next(word for word in self.words() if word not in table)
+            raise IncompleteTableError(format_word(missing)) from None
+        if len(table) != len(values):
+            known = set(self.words())
+            for word in table:
+                if word not in known:
+                    raise DomainError(f"unexpected word {format_word(word)} in table")
+        return values
+
+    def _lookup(self, word: Word) -> GaussianRational:
+        if len(word) < self.shortest:
             raise DomainError("cumulants are indexed by nonempty words")
         if len(word) > self.degree:
             raise TruncationError(
                 f"word {format_word(word)} exceeds degree bound {self.degree}"
             )
-        return self.values[word]
+        return self._view[word]
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return ((self.signature, self.degree, self.ranked)
+                == (other.signature, other.degree, other.ranked))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"{type(self).__name__}(signature={self.signature!r}, degree={self.degree}, "
+                f"ranked={self.ranked!r})")
+
+
+class Distribution(WordTable):
+    """Exact joint moments of a two-faced system, truncated at `degree`."""
+
+    def __init__(self, signature: FaceSignature, degree: int, moments):
+        super().__init__(signature, degree, moments)
+        if self.ranked[0] != ONE:
+            raise NormalizationError("moment of the empty word must be 1")
+
+    @property
+    def moments(self) -> Mapping[Word, GaussianRational]:
+        return self._view
+
+    moment = WordTable._lookup
+
+    def restrict(self, families) -> Distribution:
+        """Moments of the words supported on the given families (Cor 2.10-style)."""
+        sub = self.signature.restrict(families)
+        return _pullback(self, sub, sub.letters())
+
+    def retag(self, mapping: Mapping) -> Distribution:
+        """Rename family ids via `mapping` (missing ids are kept)."""
+        families = tuple(
+            FamilyFaces(mapping.get(f.family, f.family), f.left, f.right, f.star_closed)
+            for f in self.signature.families
+        )
+        # renaming keeps every letter in its place, so every word keeps its rank
+        return Distribution(FaceSignature(families), self.degree, list(self.ranked))
+
+
+class CumulantTable(WordTable):
+    """Exact cumulants, one per nonempty word up to `degree`."""
+
+    shortest = 1
+
+    @property
+    def values(self) -> Mapping[Word, GaussianRational]:
+        return self._view
+
+    value = WordTable._lookup
+
+
+def _pullback(dist: Distribution, signature: FaceSignature, sources) -> Distribution:
+    """The distribution over `signature` whose word w has the moment of the
+    source word that reads each letter of w as its letter in `sources`,
+    listed in the order of `signature.letters()`."""
+    ids = [dist.signature.letter_ids[letter] for letter in sources]
+    size = len(dist.signature.letter_ids)
+    ranked = dist.ranked
+    values = [ranked[0]]
+    within = [0]  # the source ranks within their length of the current words
+    offset = 1
+    for length in range(1, signature.longest(dist.degree) + 1):
+        within = [r * size + i for r in within for i in ids]
+        values.extend([ranked[offset + r] for r in within])
+        offset += size ** length
+    return Distribution(signature, dist.degree, values)
 
 
 def tabulate(signature: FaceSignature, degree: int, start,
@@ -110,21 +233,33 @@ def tabulate(signature: FaceSignature, degree: int, start,
     The moment of a word of n letters is `read(its state, n)`, and
     `read(start, 0)` must be 1, so no state carries its depth.  Words
     sharing a suffix share the whole evaluation of that suffix, so the walk
-    costs one step per word.
+    costs one step per word.  The walk carries each word's rank within its
+    length, not the word: the letter of index i prepended to a word of
+    rank r among the words of length n - 1 gives rank i * L^(n-1) + r
+    among those of length n, where the list holds them from `offsets[n]`.
     """
-    alphabet = signature.letters()
-    moments = {(): read(start, 0)}
+    if degree < 1:
+        raise DomainError("degree bound must be >= 1")
+    check_table_size(signature, degree)
+    alphabet = tuple(enumerate(signature.letters()))
+    size = len(alphabet)
+    moments = [None] * signature.word_count(degree)
+    moments[0] = read(start, 0)
+    lengths = range(signature.longest(degree) + 1)
+    powers = [size ** n for n in lengths]
+    offsets = [signature.word_count(n - 1) for n in lengths]
 
-    def extend(state, word: Word, length: int) -> None:
-        for letter in alphabet:
+    def extend(state, within: int, length: int) -> None:
+        stride, offset = powers[length - 1], offsets[length]
+        for i, letter in alphabet:
             grown = step(letter, state, degree - length)
-            longer = (letter,) + word
-            moments[longer] = read(grown, length)
+            rank = i * stride + within
+            moments[offset + rank] = read(grown, length)
             if length < degree:
-                extend(grown, longer, length + 1)
+                extend(grown, rank, length + 1)
 
-    if degree >= 1:
-        extend(start, (), 1)
+    if alphabet:
+        extend(start, 0, 1)
     return Distribution(signature, degree, moments)
 
 
@@ -144,7 +279,8 @@ def group_families(dist: Distribution, family) -> Distribution:
     """View a multi-family distribution as a single two-faced family.
 
     Left faces are pooled into one left face, right faces into one right
-    face; index i of family f is renamed "f:i" to stay unique.
+    face; index i of family f is renamed "f:i" to stay unique.  The pooled
+    letters are ordered by side first, so the words change rank.
     """
     left, right = [], []
     star = dist.signature.star_closed
@@ -152,8 +288,9 @@ def group_families(dist: Distribution, family) -> Distribution:
         left.extend(f"{fam.family}:{i}" for i in fam.left)
         right.extend(f"{fam.family}:{i}" for i in fam.right)
     signature = FaceSignature((FamilyFaces(family, tuple(left), tuple(right), star),))
-    moments = {
-        tuple(Letter(family, l.side, f"{l.family}:{l.index}", l.star) for l in w): v
-        for w, v in dist.moments.items()
-    }
-    return Distribution(signature, dist.degree, moments)
+    sources = {Letter(family, l.side, f"{l.family}:{l.index}", l.star): l
+               for l in dist.signature.letters()}
+    for pooled in sources:
+        if pooled.star and not star:
+            raise DomainError(f"unexpected word {format_letter(pooled)} in table")
+    return _pullback(dist, signature, map(sources.__getitem__, signature.letters()))

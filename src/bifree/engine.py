@@ -245,7 +245,7 @@ class _EvalContext(Dilation):
 
     def __init__(self, constituents: Sequence[Distribution]):
         dists = dict(enumerate(constituents))
-        super().__init__(v for d in dists.values() for v in d.moments.values())
+        super().__init__(v for d in dists.values() for v in d.ranked)
         self.blocks = _Blocks(dists, self.dilated, self.zero)
 
 
@@ -392,10 +392,11 @@ def check_bifree(joint: Distribution, degree: int) -> BifreenessReport:
         joint.restrict((fam.family,)) for fam in joint.signature.families
     ]
     predicted = bifree_product(restrictions, degree)
-    mismatches = []
-    for word in joint.signature.words(degree):
-        expected = predicted.moment(word)
-        found = joint.moment(word)
-        if expected != found:
-            mismatches.append((word, expected, found))
-    return BifreenessReport(degree, tuple(mismatches))
+    # `joint` may go past `degree`; its words up to `degree` come first
+    mismatches = tuple(
+        (word, expected, found)
+        for word, expected, found in zip(joint.signature.words(degree), predicted.ranked,
+                                         joint.ranked)
+        if expected != found
+    )
+    return BifreenessReport(degree, mismatches)

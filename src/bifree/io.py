@@ -10,7 +10,12 @@ key is a word and the values are blank-separated scalars in the grammar of
 `scalars`.  A covariance file is the two-letter part of a moment table; a
 vector row maps a letter, starred for the companion map h*, to N scalars.
 Emission has one fixed order: headers in signature order, then words in
-graded-lex order, so equal tables produce byte-identical text.
+graded-lex order, so equal tables produce byte-identical text, and a
+writer refuses a family id that a face header would not read back.
+Reading takes that order at its fastest: while each key is the next
+word's canonical text, a line only appends its value to the table's list;
+from the first other line on, keys are parsed into words, with the same
+errors either way.
 
     # family 1 left: a b
     # family 1 right: c
@@ -26,7 +31,7 @@ from __future__ import annotations
 import itertools
 import re
 
-from .dist import CumulantTable, Distribution
+from .dist import CumulantTable, Distribution, check_table_size
 from .errors import DomainError, ParseError, SignatureError
 from .models import CovarianceSpec, VectorSpec
 from .scalars import SCALAR_TOKEN_RE, GaussianRational, format_scalar, parse_scalar
@@ -34,10 +39,13 @@ from .words import (LEFT, RIGHT, FaceSignature, FamilyFaces, Letter, Word, check
                     format_letter, format_word)
 
 _FACE_RE = re.compile(r"^#\s*family\s+(\S+)\s+(left|right)\s*:\s*(.*)$")
+_FAMILY_TEXT_RE = re.compile(r"\S+")
 _STAR_RE = re.compile(r"^#\s*star\s*:\s*(yes|no)\s*$")
 _KIND_RE = re.compile(r"^#\s*kind\s*:\s*(\S+)\s*$")
 _NUMBER_RE = re.compile(r"^#\s*(degree|dim)\s*:\s*(\d+)\s*$")
 _LETTER_RE = re.compile(r"^(.+?)\.([^.*]+)(\*)?$")
+# the first word each table kind lists: the empty word, a letter, a pair
+_SHORTEST = {"moments": 0, "cumulants": 1, "covariance": 2}
 
 
 def _number(text: str, lineno: int) -> int:
@@ -219,17 +227,42 @@ def _parse_word(text: str, signature: FaceSignature, lineno: int,
 
 
 def _parse_table(text: str, kind: str, number: str | None):
-    """(signature, `number` header, word -> scalar) of a moment, cumulant
-    or covariance file."""
+    """(signature, degree, values) of a moment, cumulant or covariance file;
+    the degree of a covariance file is 2.
+
+    While the body lists the words of its kind in emission order, each key
+    spelled as `_word_texts` spells it, every line only appends its value,
+    and `values` is the list of these values.  From the first line that
+    differs (a shuffled body, another spelling, a duplicate, a bad token) on,
+    the lines go into a word -> scalar dict, seeded with the words already
+    read, and `values` is that dict.
+    """
     header = _HeaderState(kind, number)
     lines = _parse_lines(text, header)
     signature = next(lines)
-    entries: dict[Word, GaussianRational] = {}
-    # the canonical text of every letter, then each other token that parses
-    letters = {format_letter(letter): letter for letter in signature.letters()}
-    # like `letters`, for scalar texts: only texts that parsed are stored
+    degree = 2 if number is None else header.number
+    check_table_size(signature, degree)
+    skip = signature.word_count(_SHORTEST[kind] - 1)
+    texts = itertools.islice(_word_texts(signature, degree), skip, None)
+    expected = next(texts, None)
+    values: list[GaussianRational] = []
+    # like `letters` below, for scalar texts: only texts that parsed are stored
     scalars: dict[str, GaussianRational] = {}
     for lineno, line in lines:
+        word_text, colon, scalar_text = line.rpartition(":")
+        if word_text.rstrip() != expected:
+            break
+        value = scalars.get(scalar_text)
+        if value is None:
+            value = scalars[scalar_text] = _parse_scalar(scalar_text, lineno)
+        values.append(value)
+        expected = next(texts, None)
+    else:
+        return signature, degree, values
+    entries = dict(zip(itertools.islice(signature.words(degree), skip, None), values))
+    # the canonical text of every letter, then each other token that parses
+    letters = {format_letter(letter): letter for letter in signature.letters()}
+    for lineno, line in itertools.chain([(lineno, line)], lines):
         word_text, colon, scalar_text = line.rpartition(":")
         if not colon:
             raise ParseError("expected 'WORD : SCALAR'", lineno)
@@ -246,7 +279,7 @@ def _parse_table(text: str, kind: str, number: str | None):
         entries[word] = value
         if len(entries) == size:
             raise ParseError(f"duplicate entry for word {format_word(word)}", lineno)
-    return signature, header.number, entries
+    return signature, degree, entries
 
 
 def parse_distribution(text: str) -> Distribution:
@@ -261,10 +294,27 @@ def parse_cumulant_table(text: str) -> CumulantTable:
 
 def parse_covariance(text: str) -> CovarianceSpec:
     signature, _, entries = _parse_table(text, "covariance", None)
+    if isinstance(entries, list):
+        entries = dict(zip(itertools.product(signature.letters(), repeat=2), entries))
     for word in entries:
         if len(word) != 2:
             raise ParseError(f"covariance entry {format_word(word)} is not a pair of letters")
     return CovarianceSpec(signature, entries)
+
+
+def _check_family_text(family) -> None:
+    """Refuse a family id whose text a face header does not read back as it."""
+    text = str(family)
+    if text.startswith("#"):
+        raise SignatureError(f"family id {family!r} starts with '#', so its letters "
+                             "would read as header lines")
+    try:
+        same = _FAMILY_TEXT_RE.fullmatch(text) and _family_id(text, 0) == family
+    except ParseError:  # a run of digits too long to read
+        same = False
+    if not same:
+        raise SignatureError(
+            f"family id {family!r} does not read back from its text {text!r} in a face header")
 
 
 def _emit_headers(signature: FaceSignature, kind: str | None, *extra: str) -> list[str]:
@@ -278,6 +328,7 @@ def _emit_headers(signature: FaceSignature, kind: str | None, *extra: str) -> li
             "star closure cannot share the one '# star:' header of the text format")
     lines = []
     for fam in signature.families:
+        _check_family_text(fam.family)
         if fam.left:
             lines.append(f"# family {fam.family} left: {' '.join(fam.left)}")
         if fam.right:
@@ -290,40 +341,42 @@ def _emit_headers(signature: FaceSignature, kind: str | None, *extra: str) -> li
 
 
 def _word_texts(signature: FaceSignature, degree: int):
-    """(word, format_word(word)) in emission order.  `FaceSignature.words`
-    lists the words of each length as a power of the alphabet, so the texts
-    are the same power of the letter texts, each letter formatted once."""
+    """format_word of every word up to `degree`, in emission order.
+    `FaceSignature.words` lists the words of each length as a power of the
+    alphabet, so the texts are the same power of the letter texts, each
+    letter formatted once."""
     texts = [format_letter(letter) for letter in signature.letters()]
-    powers = (map(" ".join, itertools.product(texts, repeat=n)) for n in range(1, degree + 1))
-    return zip(signature.words(degree),
-               itertools.chain(["()"], itertools.chain.from_iterable(powers)))
+    powers = (map(" ".join, itertools.product(texts, repeat=n))
+              for n in range(1, signature.longest(degree) + 1))
+    return itertools.chain(["()"], itertools.chain.from_iterable(powers))
 
 
 def _format_table(lines: list[str], signature: FaceSignature, degree: int,
                   values, shortest: int) -> str:
     """The header `lines`, then 'WORD : SCALAR' for every word of length
-    `shortest` to `degree`."""
+    `shortest` to `degree`, whose `values` come in the same order."""
     # words come in graded order, so the shorter ones come first
-    words = itertools.islice(_word_texts(signature, degree), signature.word_count(shortest - 1),
+    texts = itertools.islice(_word_texts(signature, degree), signature.word_count(shortest - 1),
                              None)
-    lines.extend(f"{text} : {format_scalar(values[word])}" for word, text in words)
+    lines.extend(f"{text} : {format_scalar(value)}" for text, value in zip(texts, values))
     lines.append("")  # the final newline, joined in rather than added to a copy of the text
     return "\n".join(lines)
 
 
 def format_distribution(dist: Distribution) -> str:
     headers = _emit_headers(dist.signature, None, f"# degree: {dist.degree}")
-    return _format_table(headers, dist.signature, dist.degree, dist.moments, 0)
+    return _format_table(headers, dist.signature, dist.degree, dist.ranked, 0)
 
 
 def format_cumulant_table(table: CumulantTable) -> str:
     headers = _emit_headers(table.signature, "cumulants", f"# degree: {table.degree}")
-    return _format_table(headers, table.signature, table.degree, table.values, 1)
+    return _format_table(headers, table.signature, table.degree, table.ranked, 1)
 
 
 def format_covariance(cov: CovarianceSpec) -> str:
     headers = _emit_headers(cov.signature, "covariance")
-    return _format_table(headers, cov.signature, 2, cov.c, 2)
+    pairs = itertools.product(cov.signature.letters(), repeat=2)
+    return _format_table(headers, cov.signature, 2, map(cov.c.__getitem__, pairs), 2)
 
 
 def format_vector_spec(spec: VectorSpec) -> str:

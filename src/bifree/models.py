@@ -18,7 +18,7 @@ from functools import partial
 from typing import Callable, Mapping
 
 from .cumulant import moments_from_cumulants
-from .dist import CumulantTable, Distribution, tabulate
+from .dist import CumulantTable, Distribution, check_size, check_table_size, tabulate
 from .errors import DomainError, TruncationError
 from .scalars import ONE, ZERO, Dilation, GaussianRational, format_scalar
 from .words import (LEFT, FaceSignature, FamilyFaces, Letter, Word,
@@ -178,11 +178,11 @@ def gaussian_dist(cov: CovarianceSpec, degree: int) -> Distribution:
     if degree < 2:
         raise DomainError("central limit distributions need degree >= 2")
     signature = cov.signature
-    values = {}
-    for word in signature.words(degree):
-        if not word:
-            continue
-        values[word] = cov.value(*word) if len(word) == 2 else ZERO
+    check_table_size(signature, degree)
+    alphabet = signature.letters()
+    values = [ZERO] * len(alphabet)
+    values.extend(cov.value(u, v) for u in alphabet for v in alphabet)
+    values.extend([ZERO] * (signature.word_count(degree) - len(values) - 1))
     return moments_from_cumulants(CumulantTable(signature, degree, values), degree)
 
 
@@ -257,15 +257,28 @@ def gram_psd_check(mu: Distribution, degree: int) -> PsdResult:
         raise DomainError("positivity check needs degree >= 2")
     if mu.degree < degree:
         raise TruncationError(f"moment table degree {mu.degree} below requested {degree}")
-    basis = list(mu.signature.words(degree // 2))
-    n = len(basis)
-    moments = mu.moments
+    signature, half = mu.signature, degree // 2
+    n = signature.word_count(half)
+    check_size(n * n, f"the Gram matrix of {n} words")
+    basis = list(signature.words(half))
     # a parsed table shares its scalar objects, so each object is dilated once
-    distinct = {id(v): v for v in moments.values()}
+    distinct = {id(v): v for v in mu.ranked}
     dilation = Dilation(distinct.values())
     dilated = {key: dilation.dilated(v, 1) for key, v in distinct.items()}
-    gram = [[dilated[id(moments[u + w])] for w in basis]
-            for u in map(_involution(mu.signature), basis)]
+    entries = [dilated[id(v)] for v in mu.ranked[:signature.word_count(2 * half)]]
+    # The words u* + w with |u*| = p, |w| = q and u* of rank s among the
+    # words of length p fill, in the order of w, the L^q ranks from
+    # offset(p + q) + s * L^q on.
+    size = len(signature.letters())
+    gram = []
+    for u in map(_involution(signature), basis):
+        p = len(u)
+        s = signature.rank(u) - signature.word_count(p - 1)
+        row = []
+        for q in range(signature.longest(half) + 1):
+            start = signature.word_count(p + q - 1) + s * size ** q
+            row += entries[start:start + size ** q]
+        gram.append(row)
     real = dilation.real
     _check_hermitian(gram, basis, real)
 

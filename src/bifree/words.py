@@ -4,13 +4,17 @@ A letter carries its family id, face side, index name and star flag; a
 word is a tuple of letters (the empty tuple is the unit monomial).  The
 graded-lexicographic order sorts first by degree, then letter-wise with
 letters ordered by (family declaration order, left before right, index
-declaration order, plain before starred).
+declaration order, plain before starred).  A word's rank is its position
+in that order: over L letters, the word w of length n comes after the
+L^0 + ... + L^(n-1) shorter words and has rank within its length
+sum_i idx(w_i) * L^(n-1-i), its letter indices read as base-L digits.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, InvolutionError, SignatureError
@@ -96,20 +100,39 @@ class FaceSignature:
                         out.append(Letter(fam.family, side, index, True))
         return tuple(out)
 
+    @cached_property
+    def letter_ids(self) -> dict[Letter, int]:
+        """The index of each letter in `letters()`."""
+        return {letter: i for i, letter in enumerate(self.letters())}
+
+    def rank(self, word: Word) -> int:
+        """The index of `word` in `words(len(word))`; KeyError for a letter
+        outside the alphabet."""
+        ids = self.letter_ids
+        size = len(ids)
+        within = 0
+        for letter in word:
+            within = within * size + ids[letter]
+        return self.word_count(len(word) - 1) + within
+
     def word_count(self, degree: int) -> int:
         """The number of words of degree <= `degree` (0 for degree -1)."""
-        n = len(self.letters())
+        n = len(self.letter_ids)
         if n == 1:
             return degree + 1
         return (n ** (degree + 1) - 1) // (n - 1)
+
+    def longest(self, degree: int) -> int:
+        """The length of the longest word of degree <= `degree`: 0 without
+        letters, whatever the degree."""
+        return degree if self.letter_ids else 0
 
     def words(self, max_degree: int) -> Iterator[Word]:
         """All words of degree <= max_degree in graded-lex order."""
         alphabet = self.letters()
         yield ()
-        if alphabet:
-            for n in range(1, max_degree + 1):
-                yield from itertools.product(alphabet, repeat=n)
+        for n in range(1, self.longest(max_degree) + 1):
+            yield from itertools.product(alphabet, repeat=n)
 
     def restrict(self, families: Iterable) -> FaceSignature:
         wanted = list(families)

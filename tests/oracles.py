@@ -19,7 +19,9 @@ eliminates fraction-free on the dilated integers; the two share only the
 involution and the witness's self-check `gram_quadratic_form`.  The
 bi-free partial S-transform is a truncated power series in the moments
 alone, so its product law checks the multiplicative convolution without
-any operator walk.
+any operator walk.  Restriction, renaming, family pooling and equality
+are done on word-keyed dicts, read one word at a time, where the library
+maps value lists by rank.
 """
 
 import itertools
@@ -34,7 +36,7 @@ from bifree.engine import bifree_product
 from bifree.errors import DomainError, TruncationError
 from bifree.models import PsdResult, VectorSpec, _involution, gram_quadratic_form
 from bifree.scalars import ONE, ZERO, GaussianRational, qi
-from bifree.words import LEFT, Letter, Word, format_word
+from bifree.words import LEFT, FaceSignature, FamilyFaces, Letter, Word, format_word
 
 
 def naive_joint_moment(marginals, word):
@@ -548,3 +550,49 @@ def s_transform(dist: Distribution, a: Letter, b: Letter, order: int):
     assert not any(v for (i, j), v in numerator.items() if not (i and j))
     shifted = {(i - 1, j - 1): v for (i, j), v in numerator.items() if i and j}
     return series_mul({(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}, shifted, order)
+
+
+# ---------------------------------------------------------------------------
+# Tables as word-keyed dicts
+
+
+def by_word(table) -> dict:
+    """word -> value of every word a moment or cumulant table holds, each
+    read by its own lookup."""
+    view = table.moments if isinstance(table, Distribution) else table.values
+    return {w: view[w] for w in table.signature.words(table.degree) if len(w) >= table.shortest}
+
+
+def dict_equal(a, b) -> bool:
+    """Tables are equal when of one kind, signature and degree, with equal
+    values word by word."""
+    return (type(a) is type(b) and a.signature == b.signature and a.degree == b.degree
+            and by_word(a) == by_word(b))
+
+
+def dict_restrict(dist: Distribution, families) -> Distribution:
+    sub = dist.signature.restrict(families)
+    return Distribution(sub, dist.degree, {w: dist.moments[w] for w in sub.words(dist.degree)})
+
+
+def dict_retag(dist: Distribution, mapping) -> Distribution:
+    def fid(f):
+        return mapping.get(f, f)
+
+    families = tuple(FamilyFaces(fid(f.family), f.left, f.right, f.star_closed)
+                     for f in dist.signature.families)
+    moments = {tuple(Letter(fid(l.family), l.side, l.index, l.star) for l in w): v
+               for w, v in by_word(dist).items()}
+    return Distribution(FaceSignature(families), dist.degree, moments)
+
+
+def dict_group_families(dist: Distribution, family) -> Distribution:
+    left, right = [], []
+    for fam in dist.signature.families:
+        left.extend(f"{fam.family}:{i}" for i in fam.left)
+        right.extend(f"{fam.family}:{i}" for i in fam.right)
+    signature = FaceSignature((FamilyFaces(family, tuple(left), tuple(right),
+                                           dist.signature.star_closed),))
+    moments = {tuple(Letter(family, l.side, f"{l.family}:{l.index}", l.star) for l in w): v
+               for w, v in by_word(dist).items()}
+    return Distribution(signature, dist.degree, moments)

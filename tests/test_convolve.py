@@ -105,10 +105,13 @@ def test_s_transform_of_boxtimes_is_the_product_of_the_s_transforms(rng):
     c = Letter(1, RIGHT, "c")
     degree, order = 7, 5
     for _ in range(3):
-        mu, nu = rand_dist(SIG, degree, rng), rand_dist(SIG, degree, rng)
-        for dist in (mu, nu):  # S needs nonzero means
-            for letter in (A, c):
-                dist.moments[(letter,)] = qi(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+        tables = rand_dist(SIG, degree, rng), rand_dist(SIG, degree, rng)
+        mu, nu = (  # S needs nonzero means
+            Distribution(SIG, degree, {**dist.moments, **{
+                (letter,): qi(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+                for letter in (A, c)}})
+            for dist in tables
+        )
         expected = series_mul(s_transform(mu, A, c, order), s_transform(nu, A, c, order), order)
         product = boxtimes2(mu, nu, degree)
         assert s_transform(product, A, c, order) == expected

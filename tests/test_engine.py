@@ -598,7 +598,7 @@ def test_joint_moment_past_the_degree_is_that_of_every_extension(rng):
         for _ in range(2):
             extended = {}
             for family, mu in marginals.items():
-                moments = rand_dist(mu.signature, 2 * degree + 2, rng, with_imag=True).moments
+                moments = dict(rand_dist(mu.signature, 2 * degree + 2, rng, with_imag=True).moments)
                 moments.update(mu.moments)
                 extended[family] = Distribution(mu.signature, 2 * degree + 2, moments)
             extensions.append(extended)

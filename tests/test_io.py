@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from util import rand_dist
 
+import bifree.cli as bifree_cli
+import bifree.dist
 import bifree.io as bifree_io
 from bifree.cli import main
 from bifree.cumulant import cumulants_from_moments
@@ -406,3 +408,147 @@ def test_mutated_files_raise_only_bifree_errors(tmp_path_factory, case):
     with redirect_stdout(out), redirect_stderr(err):
         assert main([*_FUZZ_COMMANDS[kind], str(path)]) == 2
     assert (out.getvalue(), err.getvalue()) == ("", message)
+
+
+# A moment and a cumulant table over {1.a | 1.c} to degree 2, every value
+# distinct, for the parser's in-order path and its fallback.
+_ORDER_SIG = two_faced(left=("a",), right=("c",), family=1)
+_ORDER_TEXTS = {
+    "moments": format_distribution(Distribution(_ORDER_SIG, 2, [ONE] + [
+        qi(k, 7) for k in range(1, 7)])),
+    "cumulants": format_cumulant_table(CumulantTable(_ORDER_SIG, 2, [
+        qi(k, 5) for k in range(1, 7)])),
+}
+_ORDER_PARSERS = {"moments": parse_distribution, "cumulants": parse_cumulant_table}
+
+
+def _split(kind):
+    lines = _ORDER_TEXTS[kind].splitlines()
+    headers = [line for line in lines if line.startswith("#")]
+    return headers, lines[len(headers):]
+
+
+def _mutate(kind, trigger, k):
+    """The text of `kind` with `trigger` at body line k (0-based), and the
+    error, as (type, message) or None, that the parser must raise."""
+    headers, body = _split(kind)
+    lineno = len(headers) + k + 1
+    key = body[k].rpartition(" : ")[0]
+    if trigger == "shuffled":
+        rest = body[k:]
+        body[k:] = rest[1:] + rest[:1]
+        error = None
+    elif trigger == "spaced":
+        body[k] = key.replace(" ", "   ") + " \t:  " + body[k].rpartition(" : ")[2]
+        error = None
+    elif trigger == "duplicate":
+        earlier = body[k - 1].rpartition(" : ")[0]
+        body[k] = f"{earlier} : 1"
+        error = ParseError, f"line {lineno}: duplicate entry for word {earlier}"
+    elif trigger == "missing":
+        del body[k]
+        error = IncompleteTableError, f"table is missing an entry for word {key!r}"
+    elif trigger == "extra":
+        body.insert(k, "1.a 1.a 1.a : 1")
+        error = DomainError, "unexpected word 1.a 1.a 1.a in table"
+    elif trigger == "undeclared":
+        body[k] = "1.a 1.z : 1"
+        error = ParseError, f"line {lineno}: letter '1.z' names an undeclared index"
+    elif trigger == "scalar":
+        body[k] = f"{key} : 1//2"
+        error = ParseError, f"line {lineno}: malformed scalar '1//2'"
+    else:  # no colon
+        body[k] = key
+        error = ParseError, f"line {lineno}: expected 'WORD : SCALAR'"
+    return "\n".join(headers + body) + "\n", error
+
+
+@pytest.mark.parametrize("kind", sorted(_ORDER_TEXTS))
+@pytest.mark.parametrize("trigger", ["shuffled", "spaced", "duplicate", "missing", "extra",
+                                     "undeclared", "scalar", "colon"])
+def test_every_line_that_leaves_the_emission_order_falls_back_with_its_error(kind, trigger):
+    parse = _ORDER_PARSERS[kind]
+    table = parse(_ORDER_TEXTS[kind])
+    for k in range(1 if trigger == "duplicate" else 0, len(_split(kind)[1])):
+        text, error = _mutate(kind, trigger, k)
+        if error is None:
+            assert parse(text) == table
+            continue
+        with pytest.raises(error[0]) as raised:
+            parse(text)
+        assert type(raised.value) is error[0] and str(raised.value) == error[1], k
+
+
+def test_the_parser_lists_an_in_order_body_and_maps_any_other():
+    text = _ORDER_TEXTS["moments"]
+    _, degree, values = bifree_io._parse_table(text, "moments", "degree")
+    assert degree == 2 and values == parse_distribution(text).ranked
+    shuffled, _ = _mutate("moments", "shuffled", 3)
+    _, _, entries = bifree_io._parse_table(shuffled, "moments", "degree")
+    words = list(_ORDER_SIG.words(2))
+    assert isinstance(entries, dict) and list(entries) == words[:3] + words[4:] + words[3:4]
+    # a truncated in-order body is a list, too short by the missing words
+    cut, _ = _mutate("moments", "missing", 6)
+    assert bifree_io._parse_table(cut, "moments", "degree")[2] == values[:6]
+
+
+@given(sig=_star_closed_signatures(), scalars=st.lists(_SCALARS, min_size=1, max_size=7),
+       data=st.data())
+def test_in_order_and_shuffled_bodies_parse_to_one_table(sig, scalars, data):
+    for kind in ("moments", "cumulants", "covariance"):
+        build, format_, parse = _KINDS[kind]
+        table = build(sig, itertools.cycle(scalars), 1)
+        lines = format_(table).splitlines()
+        headers = [line for line in lines if line.startswith("#")]
+        body = lines[len(headers):]
+        k = data.draw(st.integers(0, len(body)))
+        rest = data.draw(st.permutations(body[k:]))
+        assert parse(format_(table)) == table
+        assert parse("\n".join(headers + body[:k] + rest) + "\n") == table
+
+
+def test_an_oversize_degree_header_is_refused_before_the_body(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(bifree.dist, "MAX_WORDS", 100)
+    # 3 letters to degree 4 is 121 words; the first body line is malformed
+    text = ("# family 1 left: a b\n# family 1 right: c\n# star: no\n# degree: 4\n"
+            "() : 1//2\n")
+    message = "a table of 3 letters to degree 4 has 121 entries, more than the limit of 100"
+    for parse in (parse_distribution, parse_cumulant_table):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            parse(text)
+    path = tmp_path / "big.dist"
+    path.write_text(text)
+    assert main(["cumulants", "--in", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    # 40 words to degree 3 are within the limit
+    small = point_distribution(two_faced(left=("a", "b"), right=("c",)), 3)
+    assert parse_distribution(format_distribution(small)) == small
+
+
+@pytest.mark.parametrize("family", ["#f", "x y", "", "1", "01", True, -1, 1.5, "a\u00a0b"])
+def test_writers_refuse_a_family_id_no_header_reads_back(family):
+    sig = two_faced(left=("a",), family=family)
+    dist = point_distribution(sig, 1)  # legal in memory
+    with pytest.raises(SignatureError, match=f"^family id {re.escape(repr(family))} "):
+        format_distribution(dist)
+    with pytest.raises(SignatureError):
+        format_cumulant_table(cumulants_from_moments(dist, 1))
+    with pytest.raises(SignatureError):
+        format_covariance(CovarianceSpec(sig, {(a, b): ONE for a in sig.letters()
+                                               for b in sig.letters()}))
+    # the CSV format names no family in a header, so it writes the table
+    lines = bifree_cli._dist_output(dist, "csv").splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ['"()"', f'"{family}.a"']
+
+
+@given(st.one_of(st.integers(0, 10**30), st.text(min_size=0, max_size=6)))
+def test_every_family_id_a_writer_accepts_round_trips(family):
+    sig = two_faced(left=("a",), right=("c",), family=family, star=True)
+    dist = Distribution(sig, 2, [ONE] + [qi(k, 3, -k, 2) for k in range(1, 21)])
+    try:
+        text = format_distribution(dist)
+    except SignatureError:
+        return
+    assert parse_distribution(text) == dist
+    assert parse_cumulant_table(format_cumulant_table(cumulants_from_moments(dist, 2))) == (
+        cumulants_from_moments(dist, 2))

@@ -5,13 +5,14 @@ import pytest
 from oracles import annih_left, create_left, fock_apply, fock_vacuum
 from util import rand_dist, rand_scalar
 
+import bifree.dist
 from bifree.cli import main
 from bifree.cumulant import cumulants_from_moments
-from bifree.dist import Distribution
+from bifree.dist import Distribution, point_distribution
 from bifree.engine import check_bifree
 from bifree.errors import DomainError, TruncationError
-from bifree.io import (format_covariance, format_vector_spec, parse_covariance,
-                       parse_vector_spec)
+from bifree.io import (format_covariance, format_distribution, format_vector_spec,
+                       parse_covariance, parse_vector_spec)
 from bifree.models import (CovarianceSpec, VectorSpec, _FockWalk, _involution,
                            covariance_from_vectors,
                            fock_distribution, gaussian_dist, gram_psd_check,
@@ -391,6 +392,53 @@ def test_hyperbolic_witness_is_scaled_by_the_pivots_before_it():
     assert list(result.witness.items()) == list(oracles.fraction_gram_psd_check(mu, 2)
                                                 .witness.items())
     assert gram_quadratic_form(mu, result.witness).re < 0
+
+
+@pytest.mark.parametrize("sig", [
+    FaceSignature(()),
+    two_faced(left=("a",)),
+    two_faced(left=("a", "b"), right=("c",), family=1),
+    FaceSignature((FamilyFaces(1, ("a",), (), True), FamilyFaces(2, (), ("b",), True))),
+], ids=["no letters", "one letter", "three letters", "four star-closed letters"])
+def test_the_gram_fill_by_rank_matches_the_rational_elimination(rng, sig):
+    # tables past the requested degree and odd degrees read only the words
+    # of length <= 2 * (degree // 2), which the fill takes by rank
+    star = _involution(sig)
+    words = [w for w in sig.words(4) if star(w) != w]
+    for with_imag in (False, True):
+        def dense():
+            return rand_scalar(rng, with_imag)
+
+        def sparse():
+            return dense() if rng.random() < 0.2 else ZERO
+
+        for draw in (dense, sparse):
+            for table_degree, degree in ((2, 2), (3, 3), (5, 4), (4, 2)):
+                mu = _hermitian_table(sig, table_degree, draw)
+                _same_outcome(mu, degree)
+                if words and table_degree >= 4:
+                    word = rng.choice(words)
+                    moments = dict(mu.moments)
+                    moments[word] = moments[word] + ONE
+                    _same_outcome(Distribution(sig, table_degree, moments), degree)
+
+
+def test_oversize_gram_matrix_and_gaussian_table_are_refused(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(bifree.dist, "MAX_WORDS", 600)
+    # two letters: 511 words to degree 8, whose Gram basis of 31 words has 961 entries
+    mu = point_distribution(SIG_LR, 8)
+    message = "the Gram matrix of 31 words has 961 entries, more than the limit of 600"
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        gram_psd_check(mu, 8)
+    assert gram_psd_check(mu, 7).positive
+    path = tmp_path / "mu.dist"
+    path.write_text(format_distribution(mu))
+    assert main(["psd-check", "--in", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    cov = CovarianceSpec(SIG_LR, {(u, v): ONE for u in SIG_LR.letters() for v in SIG_LR.letters()})
+    with pytest.raises(DomainError, match="^a table of 2 letters to degree 9 has 1023 entries, "):
+        gaussian_dist(cov, 9)
+    assert gaussian_dist(cov, 8).degree == 8
 
 
 def test_psd_check_prints_the_rational_witness_on_the_group_table(tmp_path, capsys):
