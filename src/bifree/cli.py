@@ -59,11 +59,10 @@ def _dist_output(dist: Distribution, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _add_common(parser, out=True, degree=True, fmt=False):
+def _add_common(parser, out=True, fmt=False):
     if out:
         parser.add_argument("--out", help="output path (default: stdout)")
-    if degree:
-        parser.add_argument("--degree", type=int, required=False)
+    parser.add_argument("--degree", type=int, required=False)
     if fmt:
         parser.add_argument("--format", choices=("dist", "csv"), default="dist")
 

@@ -11,7 +11,8 @@ key is a word and the values are blank-separated scalars in the grammar of
 vector row maps a letter, starred for the companion map h*, to N scalars.
 Emission has one fixed order: headers in signature order, then words in
 graded-lex order, so equal tables produce byte-identical text, and a
-writer refuses a family id that a face header would not read back.
+writer refuses a family whose face headers the reader's own header code
+does not read back as that family.
 Reading takes that order at its fastest: while each key is the next
 word's canonical text, a line only appends its value to the table's list;
 from the first other line on, keys are parsed into words, with the same
@@ -39,7 +40,6 @@ from .words import (LEFT, RIGHT, FaceSignature, FamilyFaces, Letter, Word, check
                     format_letter, format_word)
 
 _FACE_RE = re.compile(r"^#\s*family\s+(\S+)\s+(left|right)\s*:\s*(.*)$")
-_FAMILY_TEXT_RE = re.compile(r"\S+")
 _STAR_RE = re.compile(r"^#\s*star\s*:\s*(yes|no)\s*$")
 _KIND_RE = re.compile(r"^#\s*kind\s*:\s*(\S+)\s*$")
 _NUMBER_RE = re.compile(r"^#\s*(degree|dim)\s*:\s*(\d+)\s*$")
@@ -150,9 +150,9 @@ def _parse_lines(text: str, header: _HeaderState):
     A generator.  Header lines go to `header`.  Once the headers are
     complete, at the first body line (or at the end of a file without
     one), it yields the signature, then `(lineno, line)` for each body
-    line, stripped.  A covariance or vector file without body lines is
-    refused, and so, once the body is read, is a `# kind:` other than the
-    one `header` expects.
+    line, stripped.  A covariance or vector file whose headers declare a
+    letter but that has no body lines is refused, and so, once the body is
+    read, is a `# kind:` other than the one `header` expects.
     """
     signature = None
     lineno = 0
@@ -171,7 +171,8 @@ def _parse_lines(text: str, header: _HeaderState):
         yield lineno, line
     kind = header.expected_kind
     if signature is None:
-        if header.number_name != "degree":
+        if header.number_name != "degree" and any(
+                indices for faces in header.faces.values() for indices in faces.values()):
             raise ParseError(f"empty {kind} file")
         yield header.signature(lineno)
     # a file without '# kind:' is of the kind its reader expects, except that
@@ -231,11 +232,11 @@ def _parse_table(text: str, kind: str, number: str | None):
     the degree of a covariance file is 2.
 
     While the body lists the words of its kind in emission order, each key
-    spelled as `_word_texts` spells it, every line only appends its value,
-    and `values` is the list of these values.  From the first line that
-    differs (a shuffled body, another spelling, a duplicate, a bad token) on,
-    the lines go into a word -> scalar dict, seeded with the words already
-    read, and `values` is that dict.
+    spelled as `_word_texts` spells it, a line only appends its value, and
+    `values` is the list of these values.  The first line that differs (a
+    shuffled body, another spelling, a duplicate, a bad token) seeds a
+    word -> scalar dict with the words already read; from then on every key
+    is read by `_parse_word`, and `values` is that dict.
     """
     header = _HeaderState(kind, number)
     lines = _parse_lines(text, header)
@@ -244,42 +245,35 @@ def _parse_table(text: str, kind: str, number: str | None):
     check_table_size(signature, degree)
     skip = signature.word_count(_SHORTEST[kind] - 1)
     texts = itertools.islice(_word_texts(signature, degree), skip, None)
-    expected = next(texts, None)
+    expected = next(texts, None)  # None once no line can only append
     values: list[GaussianRational] = []
-    # like `letters` below, for scalar texts: only texts that parsed are stored
+    entries: dict[Word, GaussianRational] | None = None
+    letters: dict[str, Letter] = {}
+    # like `letters`, for scalar texts: only texts that parsed are stored
     scalars: dict[str, GaussianRational] = {}
     for lineno, line in lines:
         word_text, colon, scalar_text = line.rpartition(":")
-        if word_text.rstrip() != expected:
-            break
-        value = scalars.get(scalar_text)
-        if value is None:
-            value = scalars[scalar_text] = _parse_scalar(scalar_text, lineno)
-        values.append(value)
-        expected = next(texts, None)
-    else:
-        return signature, degree, values
-    entries = dict(zip(itertools.islice(signature.words(degree), skip, None), values))
-    # the canonical text of every letter, then each other token that parses
-    letters = {format_letter(letter): letter for letter in signature.letters()}
-    for lineno, line in itertools.chain([(lineno, line)], lines):
-        word_text, colon, scalar_text = line.rpartition(":")
-        if not colon:
-            raise ParseError("expected 'WORD : SCALAR'", lineno)
-        try:
-            word = tuple(map(letters.__getitem__, word_text.split()))
-        except KeyError:
-            word = ()
-        if not word:  # '()', an empty key, or a token not in `letters`
+        if word_text.rstrip() == expected:
+            expected = next(texts, None)
+        else:
+            if entries is None:
+                entries = dict(zip(itertools.islice(signature.words(degree), skip, None),
+                                   values))
+                expected = None
+            if not colon:
+                raise ParseError("expected 'WORD : SCALAR'", lineno)
             word = _parse_word(word_text, signature, lineno, letters)
         value = scalars.get(scalar_text)
         if value is None:
             value = scalars[scalar_text] = _parse_scalar(scalar_text, lineno)
-        size = len(entries)
-        entries[word] = value
-        if len(entries) == size:
-            raise ParseError(f"duplicate entry for word {format_word(word)}", lineno)
-    return signature, degree, entries
+        if entries is None:
+            values.append(value)
+        else:
+            size = len(entries)
+            entries[word] = value
+            if len(entries) == size:
+                raise ParseError(f"duplicate entry for word {format_word(word)}", lineno)
+    return signature, degree, values if entries is None else entries
 
 
 def parse_distribution(text: str) -> Distribution:
@@ -302,19 +296,27 @@ def parse_covariance(text: str) -> CovarianceSpec:
     return CovarianceSpec(signature, entries)
 
 
-def _check_family_text(family) -> None:
-    """Refuse a family id whose text a face header does not read back as it."""
-    text = str(family)
-    if text.startswith("#"):
-        raise SignatureError(f"family id {family!r} starts with '#', so its letters "
-                             "would read as header lines")
+def _face_headers(fam: FamilyFaces) -> list[str]:
+    """The face headers of family `fam`, refused unless the reader's own
+    header code reads them back as `fam`: the same id and the same faces."""
+    faces = {side: indices for side, indices in ((LEFT, fam.left), (RIGHT, fam.right)) if indices}
+    header = _HeaderState("", None)
     try:
-        same = _FAMILY_TEXT_RE.fullmatch(text) and _family_id(text, 0) == family
-    except ParseError:  # a run of digits too long to read
-        same = False
-    if not same:
-        raise SignatureError(
-            f"family id {family!r} does not read back from its text {text!r} in a face header")
+        lines = [f"# family {fam.family} {side}: {' '.join(indices)}"
+                 for side, indices in faces.items()]
+        for line in lines:
+            header.feed(line, 0)
+    except (ParseError, ValueError):  # ValueError: an int too long to write
+        pass
+    else:
+        if header.faces == {fam.family: faces}:
+            return lines
+    try:
+        name = repr(fam.family)
+    except ValueError:
+        name = f"<{type(fam.family).__name__} too long to write>"
+    raise SignatureError(f"family id {name} does not read back from its face headers "
+                         f"(left {fam.left!r}, right {fam.right!r})")
 
 
 def _emit_headers(signature: FaceSignature, kind: str | None, *extra: str) -> list[str]:
@@ -326,13 +328,7 @@ def _emit_headers(signature: FaceSignature, kind: str | None, *extra: str) -> li
         raise SignatureError(
             f"star-closed family {first[True]!r} and family {first[False]!r} without "
             "star closure cannot share the one '# star:' header of the text format")
-    lines = []
-    for fam in signature.families:
-        _check_family_text(fam.family)
-        if fam.left:
-            lines.append(f"# family {fam.family} left: {' '.join(fam.left)}")
-        if fam.right:
-            lines.append(f"# family {fam.family} right: {' '.join(fam.right)}")
+    lines = [line for fam in signature.families for line in _face_headers(fam)]
     lines.append(f"# star: {'yes' if signature.star_closed and signature.families else 'no'}")
     lines.extend(extra)
     if kind is not None:

@@ -1,12 +1,13 @@
 import pytest
 from util import rand_dist, rand_scalar
 
+import bifree.cli
 from bifree.cli import main
 from bifree.dist import Distribution
 from bifree.errors import DomainError
 from bifree.io import (format_covariance, format_distribution, format_vector_spec,
                        parse_distribution)
-from bifree.models import CovarianceSpec, VectorSpec, gram_psd_check
+from bifree.models import CovarianceSpec, VectorSpec, fock_distribution, gram_psd_check
 from bifree.scalars import ONE, ZERO, qi
 from bifree.words import LEFT, RIGHT, FaceSignature, FamilyFaces, Letter, format_word, two_faced
 
@@ -173,6 +174,33 @@ def test_fock_compare(tmp_path):
     assert table.moment((A, C, A, C)) == qi(2)
 
 
+def test_fock_compare_reports_each_mismatch_and_still_writes_the_table(tmp_path, capsys,
+                                                                       monkeypatch):
+    spec = VectorSpec(SIG, 1, {(1, LEFT, "a"): (ONE,), (1, RIGHT, "c"): (ONE,)},
+                      {(1, LEFT, "a"): (ONE,), (1, RIGHT, "c"): (ONE,)})
+    vec_path = tmp_path / "v.spec"
+    vec_path.write_text(format_vector_spec(spec))
+    gaussian_dist = bifree.cli.gaussian_dist
+    skewed = [(A, C), (C, A, A)]
+
+    def skewed_gaussian(cov, degree):
+        dist = gaussian_dist(cov, degree)
+        ranked = list(dist.ranked)
+        for word in skewed:
+            ranked[SIG.rank(word)] += ONE
+        return Distribution(dist.signature, degree, ranked)
+
+    monkeypatch.setattr(bifree.cli, "gaussian_dist", skewed_gaussian)
+    out = tmp_path / "fock.dist"
+    assert main(["fock", "--vectors", str(vec_path), "--degree", "4",
+                 "--compare", "--out", str(out)]) == 1
+    fock = fock_distribution(spec, 4)
+    assert out.read_text() == format_distribution(fock)
+    assert capsys.readouterr() == ("", "".join(
+        f"{format_word(w)} : fock {fock.moment(w)} gaussian {fock.moment(w) + ONE}\n"
+        for w in skewed))
+
+
 def test_fock_compare_reads_back_complex_vectors(tmp_path, rng):
     # complex coordinates are written "p/q + r/s i", blanks included
     sig = FaceSignature(tuple(FamilyFaces(f, ("a",), ("b",), True) for f in (1, 2)))
@@ -272,6 +300,17 @@ def test_input_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["cumulants", "--in", "MU", "--degree", "0"], "--degree must be >= 1"),
+    (["convolve-add", "--in", "MU"], "convolution takes exactly two --in tables"),
+    (["group-example", "--orders", "2,x"], "--orders expects comma-separated integers"),
+    (["clt", "--in", "MU", "--ns", "4,x"], "--ns expects comma-separated integers"),
+])
+def test_bad_options_exit_two_with_one_error_line(mu_path, capsys, argv, message):
+    assert main([str(mu_path) if arg == "MU" else arg for arg in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_bad_scalar_in_covariance_or_vectors_names_its_line(tmp_path, capsys):
     cov_path = tmp_path / "c.cov"
     cov_path.write_text("# family 1 left: a\n# star: no\n1.a 1.a : 1/0\n")
@@ -368,6 +407,16 @@ VEC_HEAD = "# family 1 left: a\n# star: no\n# dim: {dim}\n"
     ("gaussian", "--cov", "# family 1 left: a\n# star: no\n", "empty covariance file"),
     ("moments", "--in", "# family 1 left: a\n# star: no\n# degree: 1\n1.a : 1\n",
      "expected a cumulants table, got kind None"),
+    ("cumulants", "--in", "# family 1 left: a\n# family 1 left: b\n# star: no\n# degree: 1\n"
+     "() : 1\n1.a : 0\n", "line 2: duplicate left face for family 1"),
+    ("cumulants", "--in", "# family 1 left: a\n# star: no\n# star: yes\n# degree: 1\n"
+     "() : 1\n1.a : 0\n", "line 3: duplicate star header"),
+    ("moments", "--in", "# family 1 left: a\n# star: no\n# degree: 1\n# kind: cumulants\n"
+     "# kind: cumulants\n1.a : 0\n", "line 5: duplicate kind header"),
+    ("fock", "--vectors", VEC_HEAD.format(dim=1) + "1.a : 1\n1.a* : 1\n1.a : 2\n",
+     "line 6: duplicate vector row"),
+    ("cumulants", "--in", "# family 1 left: a\n# star: no\n# degree: 1\n() : 1\n"
+     f"1.a : {'7' * 5000}\n", "line 5: too many digits in scalar"),
 ])
 def test_malformed_input_is_refused_with_exit_two(tmp_path, capsys, command, flag, text,
                                                   message):

@@ -4,7 +4,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from util import rand_dist
 
@@ -552,3 +552,54 @@ def test_every_family_id_a_writer_accepts_round_trips(family):
     assert parse_distribution(text) == dist
     assert parse_cumulant_table(format_cumulant_table(cumulants_from_moments(dist, 2))) == (
         cumulants_from_moments(dist, 2))
+
+
+@st.composite
+def _any_signatures(draw):
+    """0-3 families whose ids and indices need not read back: negative ints,
+    bools, texts with blanks, tabs, '#', ':' or '()' or none at all, indices
+    that are empty or hold a blank, faceless families, either star closure."""
+    # the first text kind holds no blank and no '#', so that many ids read back
+    ids = st.one_of(st.integers(-3, 3), st.text(":()a1", min_size=1, max_size=3),
+                    st.booleans(), st.text(" \t#:()a1", max_size=3))
+    index = st.one_of(st.text(":()b", min_size=1, max_size=2), st.text(" :()b", max_size=2))
+    star = draw(st.booleans())
+    families = []
+    for fid in draw(st.lists(ids, max_size=3, unique=True)):
+        faceless = draw(st.sampled_from((False, False, False, False, True)))
+        indices = [] if faceless else draw(st.lists(index, min_size=1, max_size=2, unique=True))
+        cut = draw(st.integers(0, len(indices)))
+        families.append(FamilyFaces(fid, tuple(indices[:cut]), tuple(indices[cut:]), star))
+    return FaceSignature(tuple(families))
+
+
+@settings(max_examples=100)
+@given(sig=_any_signatures(), scalars=st.lists(_SCALARS, min_size=1, max_size=5))
+@example(sig=two_faced(left=("x y",), family=1), scalars=[ONE])
+@example(sig=FaceSignature((FamilyFaces(1, ("a",)), FamilyFaces(2))), scalars=[ONE])
+@example(sig=FaceSignature(()), scalars=[ONE])
+def test_every_signature_a_writer_accepts_round_trips(sig, scalars):
+    for kind in sorted(_KINDS):
+        build, format_, parse = _KINDS[kind]
+        table = build(sig, itertools.cycle(scalars), 2)
+        try:
+            text = format_(table)
+        except SignatureError:
+            continue
+        again = parse(text)
+        assert again == table
+        assert format_(again) == text
+
+
+@pytest.mark.parametrize("sig, name", [
+    (two_faced(left=("x y",), family=1), "1"),
+    (two_faced(right=("",), family="f"), "'f'"),
+    (FaceSignature((FamilyFaces(1, ("a",)), FamilyFaces(2))), "2"),
+    (two_faced(left=("a",), family=10**5000), "<int too long to write>"),
+])
+def test_writers_refuse_a_family_whose_face_headers_do_not_read_back(sig, name):
+    for kind in sorted(_KINDS):
+        build, format_, _ = _KINDS[kind]
+        with pytest.raises(SignatureError, match=f"^family id {re.escape(name)} does not "
+                                                 "read back from its face headers"):
+            format_(build(sig, itertools.repeat(ONE), 1))
