@@ -18,7 +18,7 @@ from .cumulant import cumulants_from_moments, moments_from_cumulants
 from .dist import Distribution
 from .engine import bifree_product, check_bifree
 from .errors import BifreeError
-from .io import (format_cumulant_table, format_distribution, parse_covariance,
+from .io import (csv_field, format_cumulant_table, format_distribution, parse_covariance,
                  parse_cumulant_table, parse_distribution, parse_vector_spec)
 from .models import (covariance_from_vectors, fock_distribution, gaussian_dist,
                      gram_psd_check, group_example_dist)
@@ -28,7 +28,9 @@ from .words import format_word
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        # a leading byte-order mark is dropped after decoding, so that an
+        # error's byte offset still counts from the start of the file
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise BifreeError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
@@ -53,9 +55,8 @@ def _dist_output(dist: Distribution, fmt: str) -> str:
     lines = ["word,moment,decimal"]
     for word, value in zip(dist.signature.words(dist.degree), dist.ranked):
         sign = "-" if value.is_real and value.re < 0 else ""
-        lines.append(
-            f'"{format_word(word)}","{format_scalar(value)}",{sign}{decimal_magnitude(value)}'
-        )
+        lines.append(f"{csv_field(format_word(word))},{csv_field(format_scalar(value))},"
+                     f"{sign}{decimal_magnitude(value)}")
     return "\n".join(lines) + "\n"
 
 

@@ -15,6 +15,7 @@ from math import isqrt
 from .cumulant import cumulants_from_moments, moments_from_cumulants
 from .dist import CumulantTable, Distribution
 from .errors import DomainError
+from .io import csv_field
 from .models import CovarianceSpec, gaussian_dist
 from .scalars import GaussianRational, decimal_magnitude
 from .words import Word, format_word
@@ -74,11 +75,11 @@ class CltReport:
             lines.append(
                 ",".join(
                     (
-                        f'"{format_word(row.word)}"',
+                        csv_field(format_word(row.word)),
                         str(row.n),
-                        f'"{row.moment}"',
-                        f'"{row.gaussian}"',
-                        f'"{row.error}"',
+                        csv_field(str(row.moment)),
+                        csv_field(str(row.gaussian)),
+                        csv_field(str(row.error)),
                         decimal_magnitude(row.error),
                     )
                 )

@@ -1,18 +1,17 @@
 """Additive and multiplicative bi-free convolution of two-faced distributions.
 
 Both operations are the distribution of letter-wise sums respectively
-products of a bi-free pair carrying the two inputs, and both are computed
-by the same product engine that backs `bifree_product`: the pair's joint
-moments are evaluated with the sum (respectively the length-two product)
-of the two tagged copies of each letter.  By linearity this equals the
-2^n-term tagged-word expansion of the definition, which the test-suite
-keeps as an independent route.
-"""
+products of a bi-free pair carrying the two inputs, and both are tables of
+the product engine that backs `bifree_product`, told which copies each
+letter acts in: the sum of its mu- and nu-copies in one step for boxplus,
+the mu-copy times the nu-copy, two steps, for boxtimes.  By linearity this
+equals the 2^n-term tagged-word expansion of the definition, which the
+test-suite keeps as an independent route."""
 
 from __future__ import annotations
 
 from .dist import Distribution
-from .engine import _build_table, _EvalContext
+from .engine import _table
 from .errors import SignatureError, TruncationError
 
 
@@ -28,12 +27,7 @@ def _check_pair(mu: Distribution, nu: Distribution, degree: int) -> None:
 def boxplus2(mu: Distribution, nu: Distribution, degree: int) -> Distribution:
     """Additive bi-free convolution: distribution of the letter-wise sums."""
     _check_pair(mu, nu, degree)
-    ctx = _EvalContext([mu, nu])
-    letter_steps = {
-        letter: ((ctx.blocks.summand(0, letter), ctx.blocks.summand(1, letter)),)
-        for letter in mu.signature.letters()
-    }
-    return _build_table(ctx, mu.signature, letter_steps, degree)
+    return _table([mu, nu], mu.signature, degree, lambda letter: ((0, 1),))
 
 
 def boxtimes2(mu: Distribution, nu: Distribution, degree: int) -> Distribution:
@@ -43,9 +37,4 @@ def boxtimes2(mu: Distribution, nu: Distribution, degree: int) -> Distribution:
     in that order; the two factors are applied as consecutive operators.
     """
     _check_pair(mu, nu, degree)
-    ctx = _EvalContext([mu, nu])
-    letter_steps = {
-        letter: ((ctx.blocks.summand(0, letter),), (ctx.blocks.summand(1, letter),))
-        for letter in mu.signature.letters()
-    }
-    return _build_table(ctx, mu.signature, letter_steps, degree)
+    return _table([mu, nu], mu.signature, degree, lambda letter: ((0,), (1,)))

@@ -253,16 +253,15 @@ def _walk(ctx: _EvalContext, letter_steps: Mapping[Letter, Sequence]):
     """(start, step, read) of the walk whose letters denote `letter_steps`,
     in the form `tabulate` takes.
 
-    letter_steps maps each output letter to the operator steps it denotes
-    (several steps mean an operator product, applied right to left; each
-    step is a sum of elementary letter actions).  Every letter takes the
-    same number of steps, the width: 1 for `bifree_product`, `joint_moment`
-    and additive convolution, 2 for multiplicative convolution.  The state
-    is the bare dict of dilated coefficients; a word of n letters has taken
-    width*n steps, so its moment is the vacuum coefficient over
-    D^(width*n).  When `remaining` more letters can follow, width*remaining
-    steps act after the letter's last one, and each earlier step of the
-    letter one more: that is each step's bound.
+    letter_steps maps each output letter to the operator steps it denotes,
+    from `_letter_steps`.  Every letter takes the same number of steps, the
+    width: 1 for `bifree_product`, `joint_moment` and additive convolution,
+    2 for multiplicative convolution.  The state is the bare dict of
+    dilated coefficients; a word of n letters has taken width*n steps, so
+    its moment is the vacuum coefficient over D^(width*n).  When
+    `remaining` more letters can follow, width*remaining steps act after
+    the letter's last one, and each earlier step of the letter one more:
+    that is each step's bound.
     """
     blocks = ctx.blocks
     (width,) = {len(steps) for steps in letter_steps.values()} or {0}
@@ -280,11 +279,22 @@ def _walk(ctx: _EvalContext, letter_steps: Mapping[Letter, Sequence]):
     return {(): ctx.one}, step, read
 
 
-def _build_table(ctx: _EvalContext, signature: FaceSignature,
-                 letter_steps: Mapping[Letter, Sequence], degree: int) -> Distribution:
-    """Moments of every word of degree <= `degree` over the output letters,
-    by the walk of `letter_steps` (see `_walk`)."""
-    return tabulate(signature, degree, *_walk(ctx, letter_steps))
+def _letter_steps(ctx: _EvalContext, letters, tags) -> dict:
+    """`_walk`'s letter_steps: `tags(letter)` gives the letter's steps,
+    applied right to left, each a tuple of the constituents in which the
+    letter acts, as the sum of its actions there.  One-letter blocks are
+    interned in the order of `letters`, then of steps and constituents."""
+    summand = ctx.blocks.summand
+    return {letter: tuple(tuple(summand(t, letter) for t in step) for step in tags(letter))
+            for letter in letters}
+
+
+def _table(constituents: Sequence[Distribution], signature: FaceSignature, degree: int,
+           tags) -> Distribution:
+    """Moments of every word of degree <= `degree` over `signature`, each
+    letter acting as `tags` says (see `_letter_steps`)."""
+    ctx = _EvalContext(constituents)
+    return tabulate(signature, degree, *_walk(ctx, _letter_steps(ctx, signature.letters(), tags)))
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +340,13 @@ def joint_moment(marginals: Mapping[object, Distribution], word: Word) -> Gaussi
     """Moment of `word` under the bi-free joint distribution of the marginals."""
     ctx = _EvalContext(list(marginals.values()))
     tag_of = {family: i for i, family in enumerate(marginals)}
-    letter_steps = {}
-    for letter in word:
+
+    def tags(letter):
         if letter.family not in tag_of:
             raise DomainError(f"no marginal given for family {letter.family!r}")
-        letter_steps[letter] = ((ctx.blocks.summand(tag_of[letter.family], letter),),)
-    state, step, read = _walk(ctx, letter_steps)
+        return ((tag_of[letter.family],),)
+
+    state, step, read = _walk(ctx, _letter_steps(ctx, word, tags))
     for n, letter in enumerate(reversed(word), start=1):
         state = step(letter, state, len(word) - n)
     return read(state, len(word))
@@ -354,16 +365,9 @@ def bifree_product(marginals: Sequence[Distribution], degree: int) -> Distributi
                 f"marginal degree {dist.degree} is below requested degree {degree}"
             )
     signature = union_signatures([d.signature for d in marginals])
-    ctx = _EvalContext(marginals)
-    tag_of = {}
-    for i, dist in enumerate(marginals):
-        for fam in dist.signature.families:
-            tag_of[fam.family] = i
-    letter_steps = {
-        letter: ((ctx.blocks.summand(tag_of[letter.family], letter),),)
-        for letter in signature.letters()
-    }
-    return _build_table(ctx, signature, letter_steps, degree)
+    tag_of = {fam.family: i for i, dist in enumerate(marginals)
+              for fam in dist.signature.families}
+    return _table(marginals, signature, degree, lambda letter: ((tag_of[letter.family],),))
 
 
 @dataclass

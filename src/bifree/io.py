@@ -68,7 +68,7 @@ class _HeaderState:
         self.expected_kind = kind
         self.number_name = number
         self.faces: dict[object, dict[str, tuple[str, ...]]] = {}
-        self.order: list = []
+        self.first_line: dict[object, int] = {}  # each family's first header line
         self.star: bool | None = None
         self.number: int | None = None
         self.kind: str | None = None
@@ -88,7 +88,7 @@ class _HeaderState:
                 raise ParseError(str(exc), lineno) from None
             if fid not in self.faces:
                 self.faces[fid] = {}
-                self.order.append(fid)
+                self.first_line[fid] = lineno
             if side in self.faces[fid]:
                 raise ParseError(f"duplicate {side} face for family {fid!r}", lineno)
             self.faces[fid][side] = indices
@@ -115,18 +115,15 @@ class _HeaderState:
     def signature(self, lineno: int) -> FaceSignature:
         if self.number_name is not None and self.number is None:
             raise ParseError(f"missing '# {self.number_name}:' header", lineno)
+        for fid, faces in self.faces.items():
+            if not any(faces.values()):
+                raise ParseError(f"family {fid!r} has no index in either face",
+                                 self.first_line[fid])
         star = bool(self.star)
-        return FaceSignature(
-            tuple(
-                FamilyFaces(
-                    fid,
-                    self.faces[fid].get(LEFT, ()),
-                    self.faces[fid].get(RIGHT, ()),
-                    star,
-                )
-                for fid in self.order
-            )
-        )
+        return FaceSignature(tuple(
+            FamilyFaces(fid, faces.get(LEFT, ()), faces.get(RIGHT, ()), star)
+            for fid, faces in self.faces.items()
+        ))
 
 
 _LINE_BLOCK = 1 << 16
@@ -294,6 +291,11 @@ def parse_covariance(text: str) -> CovarianceSpec:
         if len(word) != 2:
             raise ParseError(f"covariance entry {format_word(word)} is not a pair of letters")
     return CovarianceSpec(signature, entries)
+
+
+def csv_field(text: str) -> str:
+    """`text` as one quoted CSV field, an embedded '"' doubled (RFC 4180)."""
+    return '"' + text.replace('"', '""') + '"'
 
 
 def _face_headers(fam: FamilyFaces) -> list[str]:

@@ -1,3 +1,5 @@
+import csv
+
 import pytest
 from util import rand_dist, rand_scalar
 
@@ -63,6 +65,19 @@ def test_input_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read {path}: not UTF-8 text (")
     assert "at byte 17)" in err
+
+
+def test_a_byte_order_mark_is_not_an_error(tmp_path, mu_path, capsys):
+    path = tmp_path / "bom.dist"
+    path.write_bytes(b"\xef\xbb\xbf" + mu_path.read_bytes())
+    assert main(["cumulants", "--in", str(mu_path)]) == 0
+    plain = capsys.readouterr()
+    assert main(["cumulants", "--in", str(path)]) == 0
+    assert capsys.readouterr() == plain
+    # a byte that is not UTF-8 is still named by its offset in the file
+    path.write_bytes(b"\xef\xbb\xbf" + "# family 1 left: \xe9\n".encode("latin-1"))
+    assert main(["cumulants", "--in", str(path)]) == 2
+    assert "at byte 20)" in capsys.readouterr().err
 
 
 def test_product_and_check_bifree(tmp_path, rng):
@@ -363,6 +378,22 @@ def test_csv_format_output(tmp_path, mu_path):
     assert lines[1].startswith('"()","1"')
 
 
+def test_csv_outputs_double_an_embedded_quote(tmp_path):
+    # a family id may hold '"'; both CSV writers quote their fields by RFC 4180
+    sig = two_faced(left=("x",), family='a"b')
+    x = Letter('a"b', LEFT, "x")
+    moments = {w: ZERO for w in sig.words(2)}
+    moments[()] = moments[(x, x)] = ONE
+    path, product, report = tmp_path / "q.dist", tmp_path / "q.csv", tmp_path / "clt.csv"
+    path.write_text(format_distribution(Distribution(sig, 2, moments)))
+    assert main(["product", "--in", str(path), "--format", "csv", "--out", str(product)]) == 0
+    assert main(["clt", "--in", str(path), "--ns", "4", "--out", str(report)]) == 0
+    for out in (product, report):
+        with open(out, newline="", encoding="utf-8") as f:
+            words = [row[0] for row in csv.reader(f)][1:]
+        assert 'a"b.x' in words and 'a"b.x a"b.x' in words
+
+
 def test_empty_signature_at_a_huge_degree_returns_at_once(tmp_path, capsys):
     # no letters, so the only word is (); nothing may scale with the degree
     path = tmp_path / "empty.dist"
@@ -417,6 +448,8 @@ VEC_HEAD = "# family 1 left: a\n# star: no\n# dim: {dim}\n"
      "line 6: duplicate vector row"),
     ("cumulants", "--in", "# family 1 left: a\n# star: no\n# degree: 1\n() : 1\n"
      f"1.a : {'7' * 5000}\n", "line 5: too many digits in scalar"),
+    ("check-bifree", "--in", "# family 1 left: a\n# family 2 left:\n# star: no\n# degree: 1\n"
+     "() : 1\n1.a : 0\n", "line 2: family 2 has no index in either face"),
 ])
 def test_malformed_input_is_refused_with_exit_two(tmp_path, capsys, command, flag, text,
                                                   message):

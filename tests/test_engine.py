@@ -6,8 +6,8 @@ import pytest
 from oracles import free_product_moment, naive_joint_moment
 from util import coprime_dist, rand_dist
 
-from bifree.dist import Distribution, group_families
-from bifree.engine import (TensorState, _apply_step, _build_table, _EvalContext, _walk,
+from bifree.dist import Distribution, group_families, tabulate
+from bifree.engine import (TensorState, _apply_step, _EvalContext, _letter_steps, _walk,
                            apply_left, apply_right, bifree_product, check_bifree,
                            joint_moment, vacuum_coefficient, vacuum_state)
 from bifree.errors import DomainError, SignatureError, TruncationError
@@ -392,15 +392,19 @@ def test_product_on_coprime_denominators_matches_naive_oracle(rng):
         assert table.moment(word) == naive_joint_moment(marginals, word)
 
 
+def _product_steps(mus):
+    # bifree_product's step map: each letter acts in its own constituent
+    ctx = _EvalContext(mus)
+    signature = union_signatures([mu.signature for mu in mus])
+    tag_of = {fam.family: tag for tag, mu in enumerate(mus) for fam in mu.signature.families}
+    return ctx, signature, _letter_steps(ctx, signature.letters(),
+                                         lambda letter: ((tag_of[letter.family],),))
+
+
 def _product_build(mus, degree):
     # the table build of bifree_product, keeping the context for its registry
-    ctx = _EvalContext(mus)
-    letter_steps = {
-        letter: ((ctx.blocks.summand(tag, letter),),)
-        for tag, mu in enumerate(mus) for letter in mu.signature.letters()
-    }
-    signature = union_signatures([mu.signature for mu in mus])
-    return _build_table(ctx, signature, letter_steps, degree), ctx.blocks
+    ctx, signature, letter_steps = _product_steps(mus)
+    return tabulate(signature, degree, *_walk(ctx, letter_steps)), ctx.blocks
 
 
 def test_dilated_tables_hold_integers(rng):
@@ -469,6 +473,17 @@ def test_joint_moment_with_an_undeclared_letter_names_it(rng):
         joint_moment(marginals, (Letter(1, LEFT, "a", True), C2))
 
 
+def test_joint_moment_refuses_its_first_bad_letter(rng):
+    # an undeclared letter of a known family and a letter of an unknown
+    # family: the error is that of whichever comes first in the word
+    marginals = {1: rand_dist(SIG1, 2, rng), 2: rand_dist(SIG2, 2, rng)}
+    undeclared, unknown = Letter(1, LEFT, "b"), Letter(3, LEFT, "a")
+    with pytest.raises(SignatureError, match=r"^letter 1\.b is not declared by its marginal$"):
+        joint_moment(marginals, (A2, undeclared, unknown))
+    with pytest.raises(DomainError, match=r"^no marginal given for family 3$"):
+        joint_moment(marginals, (A2, unknown, undeclared))
+
+
 # ---------------------------------------------------------------------------
 # steps bounded by the steps left
 
@@ -478,19 +493,12 @@ def _step_contexts(rng):
     over degree-4 tables, real and complex."""
     for with_imag in (False, True):
         mus = [rand_dist(SIG1, 4, rng, with_imag), rand_dist(SIG2, 4, rng)]
-        ctx = _EvalContext(mus)
-        yield ctx, {
-            letter: ((ctx.blocks.summand(tag, letter),),)
-            for tag, mu in enumerate(mus) for letter in mu.signature.letters()}
+        ctx, _, letter_steps = _product_steps(mus)
+        yield ctx, letter_steps
         pair = [rand_dist(SIG1, 4, rng, with_imag), rand_dist(SIG1, 4, rng, with_imag)]
-        ctx = _EvalContext(pair)
-        yield ctx, {
-            letter: ((ctx.blocks.summand(0, letter), ctx.blocks.summand(1, letter)),)
-            for letter in SIG1.letters()}
-        ctx = _EvalContext(pair)
-        yield ctx, {
-            letter: ((ctx.blocks.summand(0, letter),), (ctx.blocks.summand(1, letter),))
-            for letter in SIG1.letters()}
+        for pattern in (((0, 1),), ((0,), (1,))):  # boxplus, boxtimes
+            ctx = _EvalContext(pair)
+            yield ctx, _letter_steps(ctx, SIG1.letters(), lambda letter: pattern)
 
 
 def _unbounded_step(state, summands, blocks):

@@ -525,6 +525,18 @@ def test_an_oversize_degree_header_is_refused_before_the_body(monkeypatch, tmp_p
     assert parse_distribution(format_distribution(small)) == small
 
 
+def test_a_family_with_no_index_is_refused_at_its_first_header_line():
+    body = "# star: no\n# degree: 1\n() : 1\n"
+    for faces in ("# family 2 left:\n", "# family 2 right:\n# family 2 left:\n"):
+        with pytest.raises(ParseError, match="^line 2: family 2 has no index in either face$"):
+            parse_distribution("# family 1 left: a\n" + faces + body + "1.a : 0\n")
+    with pytest.raises(ParseError, match="^line 1: family 'f' has no index in either face$"):
+        parse_covariance("# family f left:\n# star: no\n")
+    # an explicit empty face next to a non-empty one still reads
+    dist = parse_distribution("# family 1 left:\n# family 1 right: c\n" + body + "1.c : 0\n")
+    assert dist.signature == two_faced(right=("c",), family=1)
+
+
 @pytest.mark.parametrize("family", ["#f", "x y", "", "1", "01", True, -1, 1.5, "a\u00a0b"])
 def test_writers_refuse_a_family_id_no_header_reads_back(family):
     sig = two_faced(left=("a",), family=family)
