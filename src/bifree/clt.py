@@ -41,7 +41,8 @@ def _scaled_sum(cumulants: CumulantTable, root: int) -> Distribution:
     # N^(1 - m/2) = root^(2 - m) for a word of m letters
     factors = [GaussianRational(Fraction(root) ** (2 - m))
                for m in range(cumulants.signature.longest(cumulants.degree) + 1)]
-    scaled = [factors[len(word)] * value for word, value in cumulants.values.items()]
+    scaled = [factors[len(word)] * value
+              for word, value in zip(cumulants.words(), cumulants.ranked)]
     table = CumulantTable(cumulants.signature, cumulants.degree, scaled)
     return moments_from_cumulants(table, cumulants.degree)
 

@@ -18,7 +18,6 @@ once with `Dilation.scalar(v, |w|)`.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from operator import mul
 
 from .dist import CumulantTable, Distribution
@@ -27,35 +26,34 @@ from .scalars import ONE, Dilation, GaussianRational
 from .words import LEFT
 
 
-@lru_cache(maxsize=None)
-def _first_blocks(lefts: tuple[bool, ...]):
+def _first_blocks(lefts: tuple[bool, ...]) -> list:
     """(block, gaps) position tuples for every proper block holding the
-    s_chi-first position of a word whose left positions are flagged."""
+    s_chi-first position of a word whose left positions are flagged.
+
+    The blocks grow along the s_chi order, each next position either
+    joining the block or extending the open run of the gap it falls in."""
     n = len(lefts)
     order = [i for i in range(n) if lefts[i]] + [i for i in reversed(range(n)) if not lefts[i]]
-    out = []
-    for mask in range((1 << (n - 1)) - 1):
-        block, gaps, run = [order[0]], [], []
-        for k, pos in enumerate(order[1:]):
-            if mask >> k & 1:
-                block.append(pos)
-                if run:
-                    gaps.append(tuple(sorted(run)))
-                    run = []
-            else:
-                run.append(pos)
-        if run:
-            gaps.append(tuple(sorted(run)))
-        out.append((tuple(sorted(block)), tuple(gaps)))
-    return tuple(out)
+    partial = [((order[0],), (), ())]  # (block, closed gaps, open run), in s_chi order
+    for pos in order[1:]:
+        grown = []
+        for block, gaps, run in partial:
+            grown.append((block + (pos,), gaps + (tuple(sorted(run)),) if run else gaps, ()))
+            grown.append((block, gaps, run + (pos,)))
+        partial = grown
+    del partial[0]  # the whole word
+    for i, (block, gaps, run) in enumerate(partial):  # in place: the list is long
+        partial[i] = tuple(sorted(block)), gaps + (tuple(sorted(run)),) if run else gaps
+    return partial
 
 
-def _lower_terms(digits: tuple[int, ...], lefts, kappa, mu, ranker, zero):
+def _lower_terms(digits: tuple[int, ...], blocks, kappa, mu, ranker, zero):
     """mu(w) - kappa(w): the first-block sum without the whole-word block.
-    `digits` are w's letter indices and `ranker(digits, positions)` is the
-    rank of the sub-word at `positions`."""
+    `digits` are w's letter indices, `blocks` the `_first_blocks` of its
+    left/right pattern, and `ranker(digits, positions)` is the rank of the
+    sub-word at `positions`."""
     total = zero
-    for block, gaps in _first_blocks(lefts):
+    for block, gaps in blocks:
         term = kappa[ranker(digits, block)]
         for gap in gaps:
             if not term:
@@ -71,10 +69,17 @@ def _solve(signature, degree: int, given: list, given_moments: bool) -> list:
     the cumulants `given`, of the nonempty words up to `degree`, listed in
     graded-lex order, on both tables dilated by D^|w|; each word is divided
     once at the end.  Both tables are lists indexed by rank, the empty
-    word's place unused."""
+    word's place unused.
+
+    A word's terms read only shorter words, so the words of one length may
+    be solved in any order: they are taken pattern by pattern, each
+    left/right pattern's blocks listed once, for the words whose letters
+    follow that pattern."""
     alphabet = signature.letters()
     size = len(alphabet)
-    is_left = [letter.side == LEFT for letter in alphabet]
+    sides: dict[bool, list[int]] = {}  # is_left -> the letter indices of that side
+    for i, letter in enumerate(alphabet):
+        sides.setdefault(letter.side == LEFT, []).append(i)
     lengths = range(1, signature.longest(degree) + 1)
     offsets = [signature.word_count(n - 1) for n in range(len(lengths) + 1)]
     # the rank of a sub-word is its length's offset plus its digits read in base L
@@ -90,13 +95,13 @@ def _solve(signature, degree: int, given: list, given_moments: bool) -> list:
         known.extend(dil.dilated(v, n) for v in given[offsets[n] - 1:offsets[n] + size ** n - 1])
     solved = [None] * len(known)
     kappa, mu = (solved, known) if given_moments else (known, solved)
-    rank = 1
     for n in lengths:
-        for digits in itertools.product(range(size), repeat=n):
-            lower = _lower_terms(digits, tuple(map(is_left.__getitem__, digits)), kappa, mu,
-                                 ranker, dil.zero)
-            solved[rank] = known[rank] - lower if given_moments else known[rank] + lower
-            rank += 1
+        for lefts in itertools.product(sides, repeat=n):
+            blocks = _first_blocks(lefts)
+            for digits in itertools.product(*map(sides.__getitem__, lefts)):
+                rank = offsets[n] + sum(map(mul, digits, weights[n]))
+                lower = _lower_terms(digits, blocks, kappa, mu, ranker, dil.zero)
+                solved[rank] = known[rank] - lower if given_moments else known[rank] + lower
     return [dil.scalar(solved[offsets[n] + r], n)
             for n in lengths for r in range(size ** n)]
 
@@ -125,5 +130,6 @@ def moments_from_cumulants(table: CumulantTable, degree: int) -> Distribution:
 
 def dilate(mu: Distribution, s: GaussianRational) -> Distribution:
     """Scale every variable by s: the moment of a word picks up s^degree."""
+    powers = [s ** n for n in range(mu.signature.longest(mu.degree) + 1)]
     return Distribution(mu.signature, mu.degree,
-                        [(s ** len(w)) * v for w, v in mu.moments.items()])
+                        [powers[len(w)] * v for w, v in zip(mu.words(), mu.ranked)])

@@ -6,17 +6,17 @@ table type minus the empty word.  Both store their values in one list,
 `ranked`, in the graded-lex order of `FaceSignature.words`, so the value
 of a word of rank r (see `FaceSignature.rank`) is `ranked[r]`, or
 `ranked[r - 1]` in a cumulant table.  Every whole-table sweep zips the
-words with that list; `moments` and `values` are read-only by-word views
-of it for readers that look up single words.  A table built from a
-mapping is checked for totality, naming the first missing word in
-graded-lex order.  `tabulate` builds the table of operators that act
-letter by letter on a state, sharing suffixes.
+words with that list; `get` reads the value of one word at its rank, and
+`moments` and `values` are read-only by-word views built on `get`.  A
+table built from a mapping is checked for totality, naming the first
+missing word in graded-lex order.  `tabulate` builds the table of
+operators that act letter by letter on a state, sharing suffixes.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Mapping
 from typing import Callable
 
 from .errors import DomainError, IncompleteTableError, NormalizationError, TruncationError
@@ -45,8 +45,8 @@ def check_table_size(signature: FaceSignature, degree: int) -> None:
 
 
 class _ByWord(Mapping):
-    """Read-only view of a table's `ranked` list as a word -> value mapping,
-    iterated in graded-lex order."""
+    """Read-only view of a table as a word -> value mapping, iterated in
+    graded-lex order; each lookup is `WordTable.get`."""
 
     __slots__ = ("_table",)
 
@@ -54,41 +54,16 @@ class _ByWord(Mapping):
         self._table = table
 
     def __getitem__(self, word: Word) -> GaussianRational:
-        table = self._table
-        if not table.shortest <= len(word) <= table.degree:
+        value = self._table.get(word)
+        if value is None:
             raise KeyError(word)
-        try:
-            rank = table.signature.rank(word)
-        except KeyError:
-            raise KeyError(word) from None
-        return table.ranked[rank - table.shortest]
+        return value
 
     def __iter__(self):
         return self._table.words()
 
     def __len__(self) -> int:
         return len(self._table.ranked)
-
-    def items(self):
-        return _Items(self)
-
-    def values(self):
-        return _Values(self)
-
-
-class _Items(ItemsView):
-    __slots__ = ()
-
-    def __iter__(self):
-        table = self._mapping._table
-        return zip(table.words(), table.ranked)
-
-
-class _Values(ValuesView):
-    __slots__ = ()
-
-    def __iter__(self):
-        return iter(self._mapping._table.ranked)
 
 
 class WordTable:
@@ -140,6 +115,16 @@ class WordTable:
                     raise DomainError(f"unexpected word {format_word(word)} in table")
         return values
 
+    def get(self, word: Word) -> GaussianRational | None:
+        """The value of `word`, or None when the table does not hold it."""
+        if not self.shortest <= len(word) <= self.degree:
+            return None
+        try:
+            rank = self.signature.rank(word)
+        except KeyError:
+            return None
+        return self.ranked[rank - self.shortest]
+
     def _lookup(self, word: Word) -> GaussianRational:
         if len(word) < self.shortest:
             raise DomainError("cumulants are indexed by nonempty words")
@@ -147,7 +132,10 @@ class WordTable:
             raise TruncationError(
                 f"word {format_word(word)} exceeds degree bound {self.degree}"
             )
-        return self._view[word]
+        value = self.get(word)
+        if value is None:
+            raise KeyError(word)
+        return value
 
     def __eq__(self, other):
         if type(other) is not type(self):

@@ -119,7 +119,7 @@ class _Blocks:
     """Tensor blocks (tag, word) interned as int ids in order of first reach.
 
     `tag[b]`, `word[b]` and `moment[b]` describe block b: `word[b]` is a
-    tuple of letters and `moment[b]` is `scale(dists[tag].moments[word],
+    tuple of letters and `moment[b]` is `scale(dists[tag].get(word),
     len(word))`, or None for a word no table holds (a caller's block past
     the degree bound, or of a family without a table); a stored moment is
     never None.  `child[(b, s)]` is the block (tag[b], word[s] + word[b])
@@ -144,7 +144,7 @@ class _Blocks:
         if block is None:
             block = self.ids[(tag, word)] = len(self.tag)
             dist = self.dists.get(tag)
-            moment = None if dist is None else dist.moments.get(word)
+            moment = None if dist is None else dist.get(word)
             self.tag.append(tag)
             self.word.append(word)
             self.moment.append(None if moment is None else self.scale(moment, len(word)))

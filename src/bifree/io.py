@@ -13,10 +13,11 @@ Emission has one fixed order: headers in signature order, then words in
 graded-lex order, so equal tables produce byte-identical text, and a
 writer refuses a family whose face headers the reader's own header code
 does not read back as that family.
-Reading takes that order at its fastest: while each key is the next
-word's canonical text, a line only appends its value to the table's list;
-from the first other line on, keys are parsed into words, with the same
-errors either way.
+Reading takes that order at its fastest: a table's value list is
+allocated with one slot per word, and a key that is the canonical text of
+the first word still unread fills that word's slot without being parsed.
+Any other key is parsed into a word and fills the slot of its rank, so a
+body in any order reads to the same table, with the same errors.
 
     # family 1 left: a b
     # family 1 right: c
@@ -33,11 +34,11 @@ import itertools
 import re
 
 from .dist import CumulantTable, Distribution, check_table_size
-from .errors import DomainError, ParseError, SignatureError
+from .errors import DomainError, IncompleteTableError, ParseError, SignatureError
 from .models import CovarianceSpec, VectorSpec
 from .scalars import SCALAR_TOKEN_RE, GaussianRational, format_scalar, parse_scalar
-from .words import (LEFT, RIGHT, FaceSignature, FamilyFaces, Letter, Word, check_index,
-                    format_letter, format_word)
+from .words import (LEFT, RIGHT, FaceSignature, FamilyFaces, Letter, Word, format_letter,
+                    format_word)
 
 _FACE_RE = re.compile(r"^#\s*family\s+(\S+)\s+(left|right)\s*:\s*(.*)$")
 _STAR_RE = re.compile(r"^#\s*star\s*:\s*(yes|no)\s*$")
@@ -46,6 +47,10 @@ _NUMBER_RE = re.compile(r"^#\s*(degree|dim)\s*:\s*(\d+)\s*$")
 _LETTER_RE = re.compile(r"^(.+?)\.([^.*]+)(\*)?$")
 # the first word each table kind lists: the empty word, a letter, a pair
 _SHORTEST = {"moments": 0, "cumulants": 1, "covariance": 2}
+# how each kind refuses a word of a length it does not list
+_OUT_OF_RANGE = {"moments": (DomainError, "unexpected word {} in table"),
+                 "cumulants": (DomainError, "unexpected word {} in table"),
+                 "covariance": (ParseError, "covariance entry {} is not a pair of letters")}
 
 
 def _number(text: str, lineno: int) -> int:
@@ -81,17 +86,16 @@ class _HeaderState:
                     "would read as header lines", lineno)
             fid = _family_id(m.group(1), lineno)
             side, indices = m.group(2), tuple(m.group(3).split())
-            try:
-                for index in indices:
-                    check_index(fid, index)
+            faces = self.faces.get(fid, {})
+            read = {**faces, side: indices}
+            try:  # the family's faces read so far, this one in place of any earlier
+                FamilyFaces(fid, read.get(LEFT, ()), read.get(RIGHT, ()))
             except SignatureError as exc:
                 raise ParseError(str(exc), lineno) from None
-            if fid not in self.faces:
-                self.faces[fid] = {}
-                self.first_line[fid] = lineno
-            if side in self.faces[fid]:
+            if side in faces:
                 raise ParseError(f"duplicate {side} face for family {fid!r}", lineno)
-            self.faces[fid][side] = indices
+            self.first_line.setdefault(fid, lineno)
+            self.faces[fid] = read
         elif m := _STAR_RE.match(line):
             if self.star is not None:
                 raise ParseError("duplicate star header", lineno)
@@ -226,71 +230,66 @@ def _parse_word(text: str, signature: FaceSignature, lineno: int,
 
 def _parse_table(text: str, kind: str, number: str | None):
     """(signature, degree, values) of a moment, cumulant or covariance file;
-    the degree of a covariance file is 2.
+    the degree of a covariance file is 2 and `values` lists the scalar of
+    every word of the kind's lengths up to it, in graded-lex order.
 
-    While the body lists the words of its kind in emission order, each key
-    spelled as `_word_texts` spells it, a line only appends its value, and
-    `values` is the list of these values.  The first line that differs (a
-    shuffled body, another spelling, a duplicate, a bad token) seeds a
-    word -> scalar dict with the words already read; from then on every key
-    is read by `_parse_word`, and `values` is that dict.
+    `values` is allocated before the body is read, one slot per rank.  A
+    key spelled as `_word_texts` spells the word of the first unfilled slot
+    fills that slot without being parsed; any other key is read by
+    `_parse_word` and fills the slot of its word's rank.
     """
     header = _HeaderState(kind, number)
     lines = _parse_lines(text, header)
     signature = next(lines)
     degree = 2 if number is None else header.number
     check_table_size(signature, degree)
-    skip = signature.word_count(_SHORTEST[kind] - 1)
+    shortest = _SHORTEST[kind]
+    skip = signature.word_count(shortest - 1)
+    values: list[GaussianRational | None] = [None] * (signature.word_count(degree) - skip)
     texts = itertools.islice(_word_texts(signature, degree), skip, None)
-    expected = next(texts, None)  # None once no line can only append
-    values: list[GaussianRational] = []
-    entries: dict[Word, GaussianRational] | None = None
+    first, expected = 0, next(texts, None)  # the first unfilled slot and its key text
     letters: dict[str, Letter] = {}
     # like `letters`, for scalar texts: only texts that parsed are stored
     scalars: dict[str, GaussianRational] = {}
     for lineno, line in lines:
         word_text, colon, scalar_text = line.rpartition(":")
         if word_text.rstrip() == expected:
-            expected = next(texts, None)
+            slot = first
         else:
-            if entries is None:
-                entries = dict(zip(itertools.islice(signature.words(degree), skip, None),
-                                   values))
-                expected = None
             if not colon:
                 raise ParseError("expected 'WORD : SCALAR'", lineno)
             word = _parse_word(word_text, signature, lineno, letters)
+            if not shortest <= len(word) <= degree:
+                error, message = _OUT_OF_RANGE[kind]
+                raise error(message.format(format_word(word)))
+            slot = signature.rank(word) - skip
         value = scalars.get(scalar_text)
         if value is None:
             value = scalars[scalar_text] = _parse_scalar(scalar_text, lineno)
-        if entries is None:
-            values.append(value)
-        else:
-            size = len(entries)
-            entries[word] = value
-            if len(entries) == size:
-                raise ParseError(f"duplicate entry for word {format_word(word)}", lineno)
-    return signature, degree, values if entries is None else entries
+        if values[slot] is not None:  # never the first unfilled slot
+            raise ParseError(f"duplicate entry for word {format_word(word)}", lineno)
+        values[slot] = value
+        while expected is not None and values[first] is not None:
+            first, expected = first + 1, next(texts, None)
+    if expected is not None:
+        raise IncompleteTableError(expected)
+    return signature, degree, values
 
 
 def parse_distribution(text: str) -> Distribution:
-    signature, degree, entries = _parse_table(text, "moments", "degree")
-    return Distribution(signature, degree, entries)
+    signature, degree, values = _parse_table(text, "moments", "degree")
+    return Distribution(signature, degree, values)
 
 
 def parse_cumulant_table(text: str) -> CumulantTable:
-    signature, degree, entries = _parse_table(text, "cumulants", "degree")
-    return CumulantTable(signature, degree, entries)
+    signature, degree, values = _parse_table(text, "cumulants", "degree")
+    return CumulantTable(signature, degree, values)
 
 
 def parse_covariance(text: str) -> CovarianceSpec:
-    signature, _, entries = _parse_table(text, "covariance", None)
-    if isinstance(entries, list):
-        entries = dict(zip(itertools.product(signature.letters(), repeat=2), entries))
-    for word in entries:
-        if len(word) != 2:
-            raise ParseError(f"covariance entry {format_word(word)} is not a pair of letters")
-    return CovarianceSpec(signature, entries)
+    signature, _, values = _parse_table(text, "covariance", None)
+    return CovarianceSpec(signature,
+                          dict(zip(itertools.product(signature.letters(), repeat=2), values)))
 
 
 def csv_field(text: str) -> str:

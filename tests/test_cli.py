@@ -450,6 +450,10 @@ VEC_HEAD = "# family 1 left: a\n# star: no\n# dim: {dim}\n"
      f"1.a : {'7' * 5000}\n", "line 5: too many digits in scalar"),
     ("check-bifree", "--in", "# family 1 left: a\n# family 2 left:\n# star: no\n# degree: 1\n"
      "() : 1\n1.a : 0\n", "line 2: family 2 has no index in either face"),
+    ("cumulants", "--in", "# family 1 left: a a\n# star: no\n# degree: 1\n() : 1\n1.a : 0\n",
+     "line 1: duplicate index in family 1"),
+    ("cumulants", "--in", "# family 1 left: a\n# family 1 right: a\n# star: no\n# degree: 1\n"
+     "() : 1\n1.a : 0\n", "line 2: left and right faces of family 1 must be disjoint"),
 ])
 def test_malformed_input_is_refused_with_exit_two(tmp_path, capsys, command, flag, text,
                                                   message):

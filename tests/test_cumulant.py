@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from oracles import (ConvolutionPowerCache, free_cumulant_oracle, linear_coefficient,
@@ -10,6 +11,7 @@ from bifree.cumulant import cumulants_from_moments, dilate, moments_from_cumulan
 from bifree.dist import CumulantTable, Distribution, point_distribution
 from bifree.engine import bifree_product
 from bifree.errors import DomainError, TruncationError
+from bifree.models import CovarianceSpec, gaussian_dist
 from bifree.scalars import ONE, ZERO, qi
 from bifree.words import LEFT, RIGHT, FaceSignature, FamilyFaces, Letter, two_faced
 
@@ -208,3 +210,17 @@ def test_requires_sufficient_degree(rng):
     table = cumulants_from_moments(mu, 2)
     with pytest.raises(TruncationError):
         moments_from_cumulants(table, 3)
+
+
+def test_the_recursion_holds_the_blocks_of_one_pattern_at_a_time():
+    # a word's first blocks depend only on its left/right pattern; there are
+    # 2^n patterns of n letters with 2^(n-1) blocks each, so holding every
+    # pattern's blocks at once would take megabytes here
+    cov = CovarianceSpec(SIG, {pair: ONE for pair in itertools.product((A, C), repeat=2)})
+    tracemalloc.start()
+    try:
+        gaussian_dist(cov, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak

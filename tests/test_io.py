@@ -410,16 +410,20 @@ def test_mutated_files_raise_only_bifree_errors(tmp_path_factory, case):
     assert (out.getvalue(), err.getvalue()) == ("", message)
 
 
-# A moment and a cumulant table over {1.a | 1.c} to degree 2, every value
-# distinct, for the parser's in-order path and its fallback.
+# A moment, a cumulant and a covariance table over {1.a | 1.c} to degree 2,
+# every value distinct, for the parser's in-order path and its parsed keys.
 _ORDER_SIG = two_faced(left=("a",), right=("c",), family=1)
 _ORDER_TEXTS = {
     "moments": format_distribution(Distribution(_ORDER_SIG, 2, [ONE] + [
         qi(k, 7) for k in range(1, 7)])),
     "cumulants": format_cumulant_table(CumulantTable(_ORDER_SIG, 2, [
         qi(k, 5) for k in range(1, 7)])),
+    "covariance": format_covariance(CovarianceSpec(_ORDER_SIG, {
+        pair: qi(k, 3) for k, pair in enumerate(
+            itertools.product(_ORDER_SIG.letters(), repeat=2), start=1)})),
 }
-_ORDER_PARSERS = {"moments": parse_distribution, "cumulants": parse_cumulant_table}
+_ORDER_PARSERS = {"moments": parse_distribution, "cumulants": parse_cumulant_table,
+                  "covariance": parse_covariance}
 
 
 def _split(kind):
@@ -450,7 +454,9 @@ def _mutate(kind, trigger, k):
         error = IncompleteTableError, f"table is missing an entry for word {key!r}"
     elif trigger == "extra":
         body.insert(k, "1.a 1.a 1.a : 1")
-        error = DomainError, "unexpected word 1.a 1.a 1.a in table"
+        error = ((ParseError, "covariance entry 1.a 1.a 1.a is not a pair of letters")
+                 if kind == "covariance" else
+                 (DomainError, "unexpected word 1.a 1.a 1.a in table"))
     elif trigger == "undeclared":
         body[k] = "1.a 1.z : 1"
         error = ParseError, f"line {lineno}: letter '1.z' names an undeclared index"
@@ -479,17 +485,21 @@ def test_every_line_that_leaves_the_emission_order_falls_back_with_its_error(kin
         assert type(raised.value) is error[0] and str(raised.value) == error[1], k
 
 
-def test_the_parser_lists_an_in_order_body_and_maps_any_other():
+def test_the_parser_fills_one_rank_list_from_a_body_in_any_order():
     text = _ORDER_TEXTS["moments"]
     _, degree, values = bifree_io._parse_table(text, "moments", "degree")
     assert degree == 2 and values == parse_distribution(text).ranked
-    shuffled, _ = _mutate("moments", "shuffled", 3)
-    _, _, entries = bifree_io._parse_table(shuffled, "moments", "degree")
-    words = list(_ORDER_SIG.words(2))
-    assert isinstance(entries, dict) and list(entries) == words[:3] + words[4:] + words[3:4]
-    # a truncated in-order body is a list, too short by the missing words
+    for k in range(len(values)):
+        shuffled, _ = _mutate("moments", "shuffled", k)
+        assert bifree_io._parse_table(shuffled, "moments", "degree")[2] == values
+    headers, body = _split("moments")
+    reversed_ = "\n".join(headers + body[::-1]) + "\n"
+    assert bifree_io._parse_table(reversed_, "moments", "degree")[2] == values
+    # a cut body is refused by the reader, which names its first missing word
     cut, _ = _mutate("moments", "missing", 6)
-    assert bifree_io._parse_table(cut, "moments", "degree")[2] == values[:6]
+    with pytest.raises(IncompleteTableError, match=r"^table is missing an entry for word "
+                                                   r"'1\.c 1\.c'$"):
+        bifree_io._parse_table(cut, "moments", "degree")
 
 
 @given(sig=_star_closed_signatures(), scalars=st.lists(_SCALARS, min_size=1, max_size=7),
