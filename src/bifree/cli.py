@@ -3,12 +3,15 @@
 Exit status: 0 on success, 1 on a verification failure (bi-freeness
 mismatch, indefinite positivity check, Fock/Gaussian comparison mismatch,
 central-limit decay violation), 2 on an input error.  Outputs are
-deterministic: identical inputs give byte-identical files.
+deterministic: identical inputs give byte-identical files.  An output is
+formatted in full, a block of lines at a time, before any of it is
+written, so a run that fails writes no output file and nothing on stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
 
@@ -18,8 +21,9 @@ from .cumulant import cumulants_from_moments, moments_from_cumulants
 from .dist import Distribution
 from .engine import bifree_product, check_bifree
 from .errors import BifreeError
-from .io import (csv_field, format_cumulant_table, format_distribution, parse_covariance,
-                 parse_cumulant_table, parse_distribution, parse_vector_spec)
+from .io import (csv_field, format_cumulant_table, format_distribution, join_lines,
+                 parse_covariance, parse_cumulant_table, parse_distribution,
+                 parse_vector_spec)
 from .models import (covariance_from_vectors, fock_distribution, gaussian_dist,
                      gram_psd_check, group_example_dist)
 from .scalars import decimal_magnitude, format_scalar
@@ -39,25 +43,36 @@ def _read(path: str) -> str:
         ) from None
 
 
-def _write(path: str | None, text: str) -> None:
+def _blocks(fmt, *args) -> list[str]:
+    """The text blocks `fmt(*args, write)` hands to `write`, in order."""
+    blocks: list[str] = []
+    fmt(*args, blocks.append)
+    return blocks
+
+
+def _write(path: str | None, blocks: list[str]) -> None:
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
         return
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with Path(path).open("w", encoding="utf-8") as out:
+            out.writelines(blocks)
     except OSError as exc:
         raise BifreeError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _dist_output(dist: Distribution, fmt: str) -> str:
+def _csv_row(word, value) -> str:
+    sign = "-" if value.is_real and value.re < 0 else ""
+    return (f"{csv_field(format_word(word))},{csv_field(format_scalar(value))},"
+            f"{sign}{decimal_magnitude(value)}")
+
+
+def _dist_output(dist: Distribution, fmt: str, write=None) -> str:
+    """`dist` in format `fmt`, returned or handed to `write` as `join_lines` does."""
     if fmt == "dist":
-        return format_distribution(dist)
-    lines = ["word,moment,decimal"]
-    for word, value in zip(dist.signature.words(dist.degree), dist.ranked):
-        sign = "-" if value.is_real and value.re < 0 else ""
-        lines.append(f"{csv_field(format_word(word))},{csv_field(format_scalar(value))},"
-                     f"{sign}{decimal_magnitude(value)}")
-    return "\n".join(lines) + "\n"
+        return format_distribution(dist, write)
+    rows = map(_csv_row, dist.signature.words(dist.degree), dist.ranked)
+    return join_lines(itertools.chain(["word,moment,decimal"], rows), write)
 
 
 def _add_common(parser, out=True, fmt=False):
@@ -137,7 +152,7 @@ def _run(args) -> int:
         dists = [parse_distribution(_read(p)) for p in args.inputs]
         degree = _degree_or(args, min(d.degree for d in dists))
         joint = bifree_product(dists, degree)
-        _write(args.out, _dist_output(joint, args.format))
+        _write(args.out, _blocks(_dist_output, joint, args.format))
         return 0
 
     if args.command == "check-bifree":
@@ -157,25 +172,26 @@ def _run(args) -> int:
             raise BifreeError("convolution takes exactly two --in tables")
         degree = _degree_or(args, min(d.degree for d in dists))
         op = boxplus2 if args.command == "convolve-add" else boxtimes2
-        _write(args.out, _dist_output(op(*dists, degree), args.format))
+        _write(args.out, _blocks(_dist_output, op(*dists, degree), args.format))
         return 0
 
     if args.command == "cumulants":
         mu = parse_distribution(_read(args.input))
         degree = _degree_or(args, mu.degree)
-        _write(args.out, format_cumulant_table(cumulants_from_moments(mu, degree)))
+        _write(args.out, _blocks(format_cumulant_table, cumulants_from_moments(mu, degree)))
         return 0
 
     if args.command == "moments":
         table = parse_cumulant_table(_read(args.input))
         degree = _degree_or(args, table.degree)
-        _write(args.out, _dist_output(moments_from_cumulants(table, degree), args.format))
+        _write(args.out,
+               _blocks(_dist_output, moments_from_cumulants(table, degree), args.format))
         return 0
 
     if args.command == "gaussian":
         cov = parse_covariance(_read(args.cov))
         degree = _degree_or(args, 2)
-        _write(args.out, _dist_output(gaussian_dist(cov, degree), args.format))
+        _write(args.out, _blocks(_dist_output, gaussian_dist(cov, degree), args.format))
         return 0
 
     if args.command == "fock":
@@ -184,7 +200,7 @@ def _run(args) -> int:
         table = fock_distribution(spec, degree)
         # built before writing, so an input error leaves no output
         expected = gaussian_dist(covariance_from_vectors(spec), degree) if args.compare else None
-        _write(args.out, _dist_output(table, args.format))
+        _write(args.out, _blocks(_dist_output, table, args.format))
         if args.compare:
             mismatches = [
                 (w, found, want)
@@ -204,7 +220,8 @@ def _run(args) -> int:
         except ValueError:
             raise BifreeError("--orders expects comma-separated integers") from None
         degree = _degree_or(args, 4)
-        _write(args.out, _dist_output(group_example_dist(orders, degree), args.format))
+        _write(args.out,
+               _blocks(_dist_output, group_example_dist(orders, degree), args.format))
         return 0
 
     if args.command == "psd-check":
@@ -227,7 +244,7 @@ def _run(args) -> int:
             raise BifreeError("--ns expects comma-separated integers") from None
         degree = _degree_or(args, mu.degree)
         report = clt_report(mu, ns, degree)
-        _write(args.out, report.to_csv())
+        _write(args.out, _blocks(report.to_csv))
         return 0 if report.decay_ok else 1
 
     raise AssertionError(f"unhandled command {args.command}")

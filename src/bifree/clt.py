@@ -8,6 +8,7 @@ The test-suite checks this against the N-fold bi-free product for small N.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -15,7 +16,7 @@ from math import isqrt
 from .cumulant import cumulants_from_moments, moments_from_cumulants
 from .dist import CumulantTable, Distribution
 from .errors import DomainError
-from .io import csv_field
+from .io import csv_field, join_lines
 from .models import CovarianceSpec, gaussian_dist
 from .scalars import GaussianRational, decimal_magnitude
 from .words import Word, format_word
@@ -70,22 +71,22 @@ class CltReport:
     rows: list[CltRow]
     decay_ok: bool
 
-    def to_csv(self) -> str:
-        lines = ["word,N,moment,gaussian,error,abs_error"]
-        for row in self.rows:
-            lines.append(
-                ",".join(
-                    (
-                        csv_field(format_word(row.word)),
-                        str(row.n),
-                        csv_field(str(row.moment)),
-                        csv_field(str(row.gaussian)),
-                        csv_field(str(row.error)),
-                        decimal_magnitude(row.error),
-                    )
+    def to_csv(self, write=None) -> str:
+        """The report as CSV, returned or handed to `write` as `io.join_lines` does."""
+        rows = (
+            ",".join(
+                (
+                    csv_field(format_word(row.word)),
+                    str(row.n),
+                    csv_field(str(row.moment)),
+                    csv_field(str(row.gaussian)),
+                    csv_field(str(row.error)),
+                    decimal_magnitude(row.error),
                 )
             )
-        return "\n".join(lines) + "\n"
+            for row in self.rows
+        )
+        return join_lines(itertools.chain(["word,N,moment,gaussian,error,abs_error"], rows), write)
 
 
 def _magnitude_squared(value: GaussianRational):

@@ -12,7 +12,10 @@ vector row maps a letter, starred for the companion map h*, to N scalars.
 Emission has one fixed order: headers in signature order, then words in
 graded-lex order, so equal tables produce byte-identical text, and a
 writer refuses a family whose face headers the reader's own header code
-does not read back as that family.
+does not read back as that family.  A writer joins its lines a block of
+`_WRITE_BLOCK` lines at a time and, given a `write` callable, hands it
+each block instead of returning the text, so a large table is never held
+as one list of lines nor, by the command line, as one string.
 Reading takes that order at its fastest: a table's value list is
 allocated with one slot per word, and a key that is the canonical text of
 the first word still unread fills that word's slot without being parsed.
@@ -131,6 +134,7 @@ class _HeaderState:
 
 
 _LINE_BLOCK = 1 << 16
+_WRITE_BLOCK = 1 << 10  # lines a writer joins into one string at a time
 
 
 def _split_lines(text: str):
@@ -348,32 +352,49 @@ def _word_texts(signature: FaceSignature, degree: int):
     return itertools.chain(["()"], itertools.chain.from_iterable(powers))
 
 
-def _format_table(lines: list[str], signature: FaceSignature, degree: int,
-                  values, shortest: int) -> str:
-    """The header `lines`, then 'WORD : SCALAR' for every word of length
-    `shortest` to `degree`, whose `values` come in the same order."""
+def join_lines(lines, write=None) -> str:
+    """Each of `lines` ended by a newline, joined `_WRITE_BLOCK` lines to a
+    block as soon as they are formatted, so that no list of every line of a
+    large table is held.  Each block goes to `write` if it is given; the
+    text not handed to `write` is returned: all of it if `write` is None,
+    else ''."""
+    blocks: list[str] = []
+    emit = blocks.append if write is None else write
+    lines = iter(lines)
+    while block := list(itertools.islice(lines, _WRITE_BLOCK)):
+        block.append("")  # the block's last newline
+        emit("\n".join(block))
+    return "".join(blocks)
+
+
+def _format_table(headers: list[str], signature: FaceSignature, degree: int,
+                  values, shortest: int, write) -> str:
+    """The `headers`, then 'WORD : SCALAR' for every word of length
+    `shortest` to `degree`, whose `values` come in the same order, through
+    `join_lines`."""
     # words come in graded order, so the shorter ones come first
     texts = itertools.islice(_word_texts(signature, degree), signature.word_count(shortest - 1),
                              None)
-    lines.extend(f"{text} : {format_scalar(value)}" for text, value in zip(texts, values))
-    lines.append("")  # the final newline, joined in rather than added to a copy of the text
-    return "\n".join(lines)
+    body = (f"{text} : {format_scalar(value)}" for text, value in zip(texts, values))
+    return join_lines(itertools.chain(headers, body), write)
 
 
-def format_distribution(dist: Distribution) -> str:
+def format_distribution(dist: Distribution, write=None) -> str:
+    """The text of `dist`; with `write`, handed to it a block at a time
+    (see `join_lines`).  So are the other table writers."""
     headers = _emit_headers(dist.signature, None, f"# degree: {dist.degree}")
-    return _format_table(headers, dist.signature, dist.degree, dist.ranked, 0)
+    return _format_table(headers, dist.signature, dist.degree, dist.ranked, 0, write)
 
 
-def format_cumulant_table(table: CumulantTable) -> str:
+def format_cumulant_table(table: CumulantTable, write=None) -> str:
     headers = _emit_headers(table.signature, "cumulants", f"# degree: {table.degree}")
-    return _format_table(headers, table.signature, table.degree, table.ranked, 1)
+    return _format_table(headers, table.signature, table.degree, table.ranked, 1, write)
 
 
-def format_covariance(cov: CovarianceSpec) -> str:
+def format_covariance(cov: CovarianceSpec, write=None) -> str:
     headers = _emit_headers(cov.signature, "covariance")
     pairs = itertools.product(cov.signature.letters(), repeat=2)
-    return _format_table(headers, cov.signature, 2, map(cov.c.__getitem__, pairs), 2)
+    return _format_table(headers, cov.signature, 2, map(cov.c.__getitem__, pairs), 2, write)
 
 
 def format_vector_spec(spec: VectorSpec) -> str:
@@ -385,7 +406,7 @@ def format_vector_spec(spec: VectorSpec) -> str:
         base = format_letter(letter)
         lines.append(f"{base} : " + " ".join(format_scalar(x) for x in spec.h[key]))
         lines.append(f"{base}* : " + " ".join(format_scalar(x) for x in spec.h_star[key]))
-    return "\n".join(lines) + "\n"
+    return join_lines(lines)
 
 
 def parse_vector_spec(text: str) -> VectorSpec:

@@ -1,15 +1,20 @@
 import csv
+import itertools
+from collections import Counter
+from math import isqrt
 
 import pytest
 from util import rand_dist, rand_scalar
 
 import bifree.cli
+import bifree.io
 from bifree.cli import main
 from bifree.dist import Distribution
 from bifree.errors import DomainError
 from bifree.io import (format_covariance, format_distribution, format_vector_spec,
                        parse_distribution)
-from bifree.models import CovarianceSpec, VectorSpec, fock_distribution, gram_psd_check
+from bifree.models import (CovarianceSpec, VectorSpec, fock_distribution, gram_psd_check,
+                           group_example_dist)
 from bifree.scalars import ONE, ZERO, qi
 from bifree.words import LEFT, RIGHT, FaceSignature, FamilyFaces, Letter, format_word, two_faced
 
@@ -414,6 +419,75 @@ def test_a_result_too_long_to_write_is_an_input_error(tmp_path, capsys):
     assert main(["cumulants", "--in", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr() == ("", message)
     assert not out.exists()
+    _assert_refused_keeps_the_file(["cumulants", "--in", str(path)], out, message, capsys)
+    # the Gaussian of c(z, z) = c, zero elsewhere, on six letters: z z z z,
+    # the last of 1555 words, is the only word of mu = 2 c^2, so the blocks
+    # of lines before its own are formatted before it fails
+    sig = two_faced(left=tuple("abcdez"), family=1)
+    z = sig.letters()[-1]
+    assert sig.word_count(4) - 1 > bifree.io._WRITE_BLOCK
+    x = isqrt(10**4300 // 2)
+    y = isqrt(2 * x * x) - x  # (x + y i)^2 has about equal real and imaginary parts
+    re, im = 2 * (x * x - y * y), 4 * x * y
+    # every part of 2 c^2 writes (4300 digits at most), its modulus takes 4301
+    assert max(re, im) < 10**4300 and re * re + im * im >= 10**8600
+    cov = tmp_path / "huge.cov"
+    for c, fmt, digits in [(qi(int("7" * 3000)), "dist", 6001), (qi(x, 1, y, 1), "csv", 4301)]:
+        cov.write_text(format_covariance(CovarianceSpec(
+            sig, {pair: c if pair == (z, z) else ZERO
+                  for pair in itertools.product(sig.letters(), repeat=2)})))
+        argv = ["gaussian", "--cov", str(cov), "--degree", "4", "--format", fmt]
+        message = f"error: too many digits to write: a result holds a {digits}-digit number\n"
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", message)
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", message)
+        assert not out.exists()
+        _assert_refused_keeps_the_file(argv, out, message, capsys)
+    # the complex table's scalars fit as text: only its CSV modulus does not
+    assert main(["gaussian", "--cov", str(cov), "--degree", "4", "--out", str(out)]) == 0
+
+
+def _assert_refused_keeps_the_file(argv, out, message, capsys):
+    out.write_bytes(b"kept\n")
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", message)
+    assert out.read_bytes() == b"kept\n"
+    out.unlink()
+
+
+def test_group_example_writes_the_text_of_format_distribution(tmp_path, capsys):
+    text = format_distribution(group_example_dist([2, 3], 6))
+    assert text.count("\n") > bifree.io._WRITE_BLOCK  # 5461 words
+    out = tmp_path / "g.dist"
+    argv = ["group-example", "--orders", "2,3", "--degree", "6"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == text.encode()
+    assert main(argv) == 0
+    assert capsys.readouterr() == (text, "")
+
+
+def test_the_cli_formats_tables_through_the_public_writers(tmp_path, mu_path, monkeypatch):
+    # perfbench/spans.py times the io.format layer by wrapping these two
+    # names in bifree.cli: a table formatted any other way would read 0 there
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(bifree.cli, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+        return counted
+
+    for name in ("format_distribution", "format_cumulant_table"):
+        monkeypatch.setattr(bifree.cli, name, counting(name))
+    out = tmp_path / "out.txt"
+    assert main(["group-example", "--orders", "2,3", "--degree", "3", "--out", str(out)]) == 0
+    assert calls == {"format_distribution": 1}
+    assert out.read_text() == format_distribution(group_example_dist([2, 3], 3))
+    assert main(["cumulants", "--in", str(mu_path), "--out", str(out)]) == 0
+    assert calls == {"format_distribution": 1, "format_cumulant_table": 1}
 
 
 VEC_HEAD = "# family 1 left: a\n# star: no\n# dim: {dim}\n"

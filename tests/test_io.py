@@ -1,17 +1,19 @@
 import itertools
 import re
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from util import rand_dist
+from util import rand_dist, rand_scalar
 
 import bifree.cli as bifree_cli
 import bifree.dist
 import bifree.io as bifree_io
 from bifree.cli import main
+from bifree.clt import CltReport, CltRow
 from bifree.cumulant import cumulants_from_moments
 from bifree.dist import CumulantTable, Distribution, group_families, point_distribution
 from bifree.engine import bifree_product
@@ -20,8 +22,8 @@ from bifree.errors import (BifreeError, DomainError, IncompleteTableError,
 from bifree.io import (format_covariance, format_cumulant_table, format_distribution,
                        format_vector_spec, parse_covariance, parse_cumulant_table,
                        parse_distribution, parse_vector_spec)
-from bifree.models import CovarianceSpec, VectorSpec
-from bifree.scalars import ONE, GaussianRational, format_scalar, qi
+from bifree.models import CovarianceSpec, VectorSpec, group_example_dist
+from bifree.scalars import ONE, GaussianRational, decimal_magnitude, format_scalar, qi
 from bifree.words import (LEFT, RIGHT, FaceSignature, FamilyFaces, Letter, format_word,
                           two_faced)
 
@@ -312,6 +314,92 @@ def test_lines_split_in_blocks_are_the_lines_of_the_text():
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(bifree_io, "_LINE_BLOCK", block)
                 assert list(bifree_io._split_lines(text + tail)) == (text + tail).splitlines()
+
+
+def _lines_text(lines) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+def _table_reference(headers, words, values) -> str:
+    """A table's text written line by line, apart from the writers' block loop."""
+    return _lines_text(headers + [f"{format_word(w)} : {format_scalar(v)}"
+                                  for w, v in zip(words, values)])
+
+
+def _csv_reference(dist) -> str:
+    rows = []
+    for word, value in zip(dist.signature.words(dist.degree), dist.ranked):
+        sign = "-" if value.is_real and value.re < 0 else ""
+        rows.append(f'"{format_word(word)}","{format_scalar(value)}",'
+                    f"{sign}{decimal_magnitude(value)}")
+    return _lines_text(["word,moment,decimal"] + rows)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_writers_give_the_lines_of_the_table_across_block_boundaries(block, rng, monkeypatch):
+    monkeypatch.setattr(bifree_io, "_WRITE_BLOCK", block)
+    cases = []  # (kind, text line by line, writer, its arguments before `write`)
+    one = two_faced(left=("a",), family=1)
+    # one letter: a degree d table lists d + 1 moments and d cumulants
+    for degree in range(1, 3 * block + 2):
+        head = ["# family 1 left: a", "# star: no", f"# degree: {degree}"]
+        words = list(one.words(degree))
+        dist = rand_dist(one, degree, rng, with_imag=True)
+        cum = CumulantTable(one, degree, [rand_scalar(rng, True) for _ in words[1:]])
+        rows = [CltRow(w, 4, rand_scalar(rng, True), rand_scalar(rng), rand_scalar(rng, True))
+                for w in words[1:]]
+        clt_text = _lines_text(["word,N,moment,gaussian,error,abs_error"] + [
+            f'"{format_word(r.word)}",4,"{r.moment}","{r.gaussian}","{r.error}",'
+            f"{decimal_magnitude(r.error)}" for r in rows])
+        cases += [
+            ("moments", _table_reference(head, words, dist.ranked), format_distribution, (dist,)),
+            ("cumulants", _table_reference(head + ["# kind: cumulants"], words[1:], cum.ranked),
+             format_cumulant_table, (cum,)),
+            ("csv", _csv_reference(dist), bifree_cli._dist_output, (dist, "csv")),
+            ("clt", clt_text, CltReport(degree, (4,), rows, True).to_csv, ()),
+        ]
+    # n letters in f families: n^2 pairs after f + 2 header lines
+    for n in range(1, 5):
+        for f in range(1, n + 1):
+            faces = ["abcd"[:n - f + 1], *"abcd"[n - f + 1:n]]
+            sig = FaceSignature(tuple(FamilyFaces(k, tuple(face), ())
+                                      for k, face in enumerate(faces, 1)))
+            head = [f"# family {k} left: {' '.join(face)}" for k, face in enumerate(faces, 1)]
+            pairs = [w for w in sig.words(2) if len(w) == 2]
+            values = [rand_scalar(rng, True) for _ in pairs]
+            cases.append(("covariance", _table_reference(
+                head + ["# star: no", "# kind: covariance"], pairs, values),
+                format_covariance, (CovarianceSpec(sig, dict(zip(pairs, values))),)))
+    line_counts = {}
+    for kind, text, writer, args in cases:
+        blocks = []
+        assert writer(*args, blocks.append) == ""
+        assert writer(*args) == "".join(blocks) == text, kind
+        lines = text.count("\n")
+        assert [b.count("\n") for b in blocks] == [block] * (lines // block) + (
+            [lines % block] if lines % block else [])
+        assert all(b.endswith("\n") for b in blocks)
+        line_counts.setdefault(kind, set()).add(lines)
+    # each kind ran just below, at and just above a block boundary past the first block
+    for counts in line_counts.values():
+        assert any({m - 1, m, m + 1} <= counts for m in range(2 * block, max(counts), block))
+
+
+def test_a_table_handed_to_write_peaks_near_the_size_of_its_text():
+    # the paper's Z/2 * Z/3 example at degree 8, the largest table the CLI
+    # writes: a list of every line and then their join peaked at 3.6 times
+    # the text, blocks joined as they are formatted stay near the text
+    dist = group_example_dist([2, 3], 8)
+    blocks = []
+    tracemalloc.start()
+    try:
+        format_distribution(dist, blocks.append)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sum(map(len, blocks))  # ASCII text: a byte a character
+    assert size > 3_000_000
+    assert peak < 1.5 * size, (peak, size)
 
 
 def test_non_canonical_spellings_parse_to_the_canonical_table(rng):
