@@ -5,7 +5,7 @@ Fock-space and group-algebra realizations."""
 
 from .clt import CltReport, clt_report, scaled_sum_dist
 from .convolve import boxplus2, boxtimes2
-from .cumulant import cumulants_from_moments, dilate, moments_from_cumulants
+from .cumulant import cumulants_from_moments, moments_from_cumulants
 from .dist import (CumulantTable, Distribution, group_families, ones_distribution,
                    point_distribution)
 from .engine import (BifreenessReport, TensorState, apply_left, apply_right,

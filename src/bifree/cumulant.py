@@ -20,9 +20,9 @@ from __future__ import annotations
 import itertools
 from operator import mul
 
-from .dist import CumulantTable, Distribution
+from .dist import CumulantTable, Distribution, check_size
 from .errors import TruncationError
-from .scalars import ONE, Dilation, GaussianRational
+from .scalars import ONE, Dilation
 from .words import LEFT
 
 
@@ -74,13 +74,17 @@ def _solve(signature, degree: int, given: list, given_moments: bool) -> list:
     A word's terms read only shorter words, so the words of one length may
     be solved in any order: they are taken pattern by pattern, each
     left/right pattern's blocks listed once, for the words whose letters
-    follow that pattern."""
+    follow that pattern.  The longest pattern's list of 2^(n-1) - 1 blocks
+    is refused at once if it would not fit."""
+    longest = signature.longest(degree)
+    if longest:
+        check_size(2 ** (longest - 1) - 1, f"the first-block list of a word of {longest} letters")
     alphabet = signature.letters()
     size = len(alphabet)
     sides: dict[bool, list[int]] = {}  # is_left -> the letter indices of that side
     for i, letter in enumerate(alphabet):
         sides.setdefault(letter.side == LEFT, []).append(i)
-    lengths = range(1, signature.longest(degree) + 1)
+    lengths = range(1, longest + 1)
     offsets = [signature.word_count(n - 1) for n in range(len(lengths) + 1)]
     # the rank of a sub-word is its length's offset plus its digits read in base L
     weights = [tuple(size ** (n - 1 - i) for i in range(n)) for n in range(len(lengths) + 1)]
@@ -126,10 +130,3 @@ def moments_from_cumulants(table: CumulantTable, degree: int) -> Distribution:
     count = table.signature.word_count(degree)
     return Distribution(table.signature, degree,
                         [ONE] + _solve(table.signature, degree, table.ranked[:count - 1], False))
-
-
-def dilate(mu: Distribution, s: GaussianRational) -> Distribution:
-    """Scale every variable by s: the moment of a word picks up s^degree."""
-    powers = [s ** n for n in range(mu.signature.longest(mu.degree) + 1)]
-    return Distribution(mu.signature, mu.degree,
-                        [powers[len(w)] * v for w, v in zip(mu.words(), mu.ranked)])

@@ -8,9 +8,10 @@ of a word of rank r (see `FaceSignature.rank`) is `ranked[r]`, or
 `ranked[r - 1]` in a cumulant table.  Every whole-table sweep zips the
 words with that list; `get` reads the value of one word at its rank, and
 `moments` and `values` are read-only by-word views built on `get`.  A
-table built from a mapping is checked for totality, naming the first
-missing word in graded-lex order.  `tabulate` builds the table of
-operators that act letter by letter on a state, sharing suffixes.
+table is built from that list alone; one of the wrong length is refused,
+naming the first missing word in graded-lex order.  `tabulate` builds the
+table of operators that act letter by letter on a state, sharing
+suffixes.
 """
 
 from __future__ import annotations
@@ -68,11 +69,7 @@ class _ByWord(Mapping):
 
 class WordTable:
     """One exact scalar per word of length `shortest` to `degree`, held in
-    `ranked` in graded-lex order.
-
-    `values` is that list itself, taken as is, or a mapping word -> scalar,
-    which must hold exactly those words.
-    """
+    `ranked` in graded-lex order: the list `values`, taken as is."""
 
     shortest = 0
 
@@ -81,12 +78,11 @@ class WordTable:
             raise DomainError("degree bound must be >= 1")
         self.signature = signature
         self.degree = degree
-        if isinstance(values, list):
-            if len(values) != self._count():
-                self._refuse_length(len(values))
-            self.ranked = values
-        else:
-            self.ranked = self._from_mapping(values)
+        if not isinstance(values, list):
+            raise TypeError(f"a table takes a list in rank order, not {type(values).__name__}")
+        if len(values) != self._count():
+            self._refuse_length(len(values))
+        self.ranked = values
         self._view = _ByWord(self)
 
     def _count(self) -> int:
@@ -101,19 +97,6 @@ class WordTable:
             raise IncompleteTableError(format_word(next(itertools.islice(self.words(), length,
                                                                          None))))
         raise DomainError(f"{length} values for a table of {self._count()} words")
-
-    def _from_mapping(self, table: Mapping) -> list:
-        try:
-            values = [table[word] for word in self.words()]
-        except KeyError:
-            missing = next(word for word in self.words() if word not in table)
-            raise IncompleteTableError(format_word(missing)) from None
-        if len(table) != len(values):
-            known = set(self.words())
-            for word in table:
-                if word not in known:
-                    raise DomainError(f"unexpected word {format_word(word)} in table")
-        return values
 
     def get(self, word: Word) -> GaussianRational | None:
         """The value of `word`, or None when the table does not hold it."""
@@ -168,15 +151,6 @@ class Distribution(WordTable):
         """Moments of the words supported on the given families (Cor 2.10-style)."""
         sub = self.signature.restrict(families)
         return _pullback(self, sub, sub.letters())
-
-    def retag(self, mapping: Mapping) -> Distribution:
-        """Rename family ids via `mapping` (missing ids are kept)."""
-        families = tuple(
-            FamilyFaces(mapping.get(f.family, f.family), f.left, f.right, f.star_closed)
-            for f in self.signature.families
-        )
-        # renaming keeps every letter in its place, so every word keeps its rank
-        return Distribution(FaceSignature(families), self.degree, list(self.ranked))
 
 
 class CumulantTable(WordTable):

@@ -19,9 +19,10 @@ eliminates fraction-free on the dilated integers; the two share only the
 involution and the witness's self-check `gram_quadratic_form`.  The
 bi-free partial S-transform is a truncated power series in the moments
 alone, so its product law checks the multiplicative convolution without
-any operator walk.  Restriction, renaming, family pooling and equality
-are done on word-keyed dicts, read one word at a time, where the library
-maps value lists by rank.
+any operator walk.  Restriction, family pooling and equality are done on
+word-keyed dicts, read one word at a time, where the library maps value
+lists by rank; renaming family ids, which only these checks need, is done
+the same way.
 """
 
 import itertools
@@ -29,6 +30,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+
+from util import from_words
 
 from bifree.convolve import boxplus2
 from bifree.dist import CumulantTable, Distribution, point_distribution
@@ -212,7 +215,7 @@ def power_cumulants(mu, degree):
             values[word] = linear_coefficient(
                 [cache.power(k).moment(word) for k in range(len(word) + 1)]
             )
-    return CumulantTable(mu.signature, degree, values)
+    return from_words(CumulantTable, mu.signature, degree, values)
 
 
 def power_moments(table, degree):
@@ -222,16 +225,14 @@ def power_moments(table, degree):
     signature = table.signature
     solved = {(): ONE}
     for n in range(1, degree + 1):
-        candidate = Distribution(
-            signature, n, {w: solved.get(w, ZERO) for w in signature.words(n)}
-        )
+        candidate = Distribution(signature, n, [solved.get(w, ZERO) for w in signature.words(n)])
         cache = ConvolutionPowerCache(candidate)
         powers = [cache.power(k) for k in range(n + 1)]
         for word in signature.words(n):
             if len(word) == n:
                 probed = linear_coefficient([p.moment(word) for p in powers])
                 solved[word] = table.value(word) - probed
-    return Distribution(signature, degree, solved)
+    return from_words(Distribution, signature, degree, solved)
 
 
 def scaled_sum_dist_direct(mu, n, degree):
@@ -245,7 +246,7 @@ def scaled_sum_dist_direct(mu, n, degree):
     if root * root != n:
         raise DomainError(f"N must be a perfect square, got {n}")
     copies = [
-        mu.retag({f.family: (f.family, t) for f in mu.signature.families})
+        dict_retag(mu, {f.family: (f.family, t) for f in mu.signature.families})
         for t in range(n)
     ]
     joint = bifree_product(copies, degree)
@@ -259,7 +260,7 @@ def scaled_sum_dist_direct(mu, n, degree):
             )
             total = total + joint.moment(tagged)
         moments[word] = total * inv_root ** len(word)
-    return Distribution(mu.signature, degree, moments)
+    return from_words(Distribution, mu.signature, degree, moments)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +573,8 @@ def dict_equal(a, b) -> bool:
 
 def dict_restrict(dist: Distribution, families) -> Distribution:
     sub = dist.signature.restrict(families)
-    return Distribution(sub, dist.degree, {w: dist.moments[w] for w in sub.words(dist.degree)})
+    return from_words(Distribution, sub, dist.degree,
+                      {w: dist.moments[w] for w in sub.words(dist.degree)})
 
 
 def dict_retag(dist: Distribution, mapping) -> Distribution:
@@ -583,7 +585,7 @@ def dict_retag(dist: Distribution, mapping) -> Distribution:
                      for f in dist.signature.families)
     moments = {tuple(Letter(fid(l.family), l.side, l.index, l.star) for l in w): v
                for w, v in by_word(dist).items()}
-    return Distribution(FaceSignature(families), dist.degree, moments)
+    return from_words(Distribution, FaceSignature(families), dist.degree, moments)
 
 
 def dict_group_families(dist: Distribution, family) -> Distribution:
@@ -595,4 +597,4 @@ def dict_group_families(dist: Distribution, family) -> Distribution:
                                            dist.signature.star_closed),))
     moments = {tuple(Letter(family, l.side, f"{l.family}:{l.index}", l.star) for l in w): v
                for w, v in by_word(dist).items()}
-    return Distribution(signature, dist.degree, moments)
+    return from_words(Distribution, signature, dist.degree, moments)

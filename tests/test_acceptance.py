@@ -10,7 +10,7 @@ import random
 
 import pytest
 from oracles import free_cumulant_oracle, naive_joint_moment, scaled_sum_dist_direct
-from util import rand_dist
+from util import from_words, rand_dist
 
 from bifree.cli import main
 from bifree.clt import clt_report, scaled_sum_dist
@@ -206,7 +206,7 @@ def test_criterion_07_central_limit():
     moments[()] = ONE
     moments[(a, a)] = ONE
     moments[(a, a, a, a)] = qi(5)
-    mu = Distribution(sig, 4, moments)
+    mu = from_words(Distribution, sig, 4, moments)
     rep = clt_report(mu, [4, 16, 64], 4)
     errors = {row.n: row.error for row in rep.rows if row.word == (a,) * 4}
     ok = errors == {4: qi(3, 4), 16: qi(3, 16), 64: qi(3, 64)}

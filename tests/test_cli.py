@@ -4,7 +4,7 @@ from collections import Counter
 from math import isqrt
 
 import pytest
-from util import rand_dist, rand_scalar
+from util import from_words, rand_dist, rand_scalar
 
 import bifree.cli
 import bifree.io
@@ -111,7 +111,7 @@ def test_check_bifree_detects_mismatch(tmp_path, capsys):
         ok2 = ONE if c2 in (0, 2) else ZERO
         moments[word] = ok1 * ok2
     path = tmp_path / "tensor.dist"
-    path.write_text(format_distribution(Distribution(sig, 4, moments)))
+    path.write_text(format_distribution(from_words(Distribution, sig, 4, moments)))
     assert main(["check-bifree", "--in", str(path)]) == 1
     assert "expected 0 found 1" in capsys.readouterr().out
 
@@ -168,7 +168,7 @@ def test_psd_check_refuses_a_non_hermitian_table(tmp_path, capsys):
         moments[()] = ONE
         moments[(A, C)] = ac
         moments[(C, A)] = ca
-        mu = Distribution(SIG, 2, moments)
+        mu = from_words(Distribution, SIG, 2, moments)
         with pytest.raises(DomainError, match="not hermitian") as refusal:
             gram_psd_check(mu, 2)
         assert format_word((A,)) in str(refusal.value)
@@ -266,7 +266,7 @@ def test_clt_subcommand(tmp_path):
     moments[(a, a)] = ONE
     moments[(a, a, a, a)] = qi(5)
     path = tmp_path / "mu.dist"
-    path.write_text(format_distribution(Distribution(sig, 4, moments)))
+    path.write_text(format_distribution(from_words(Distribution, sig, 4, moments)))
     out = tmp_path / "report.csv"
     assert main(["clt", "--in", str(path), "--ns", "4,16,64", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
@@ -390,7 +390,7 @@ def test_csv_outputs_double_an_embedded_quote(tmp_path):
     moments = {w: ZERO for w in sig.words(2)}
     moments[()] = moments[(x, x)] = ONE
     path, product, report = tmp_path / "q.dist", tmp_path / "q.csv", tmp_path / "clt.csv"
-    path.write_text(format_distribution(Distribution(sig, 2, moments)))
+    path.write_text(format_distribution(from_words(Distribution, sig, 2, moments)))
     assert main(["product", "--in", str(path), "--format", "csv", "--out", str(product)]) == 0
     assert main(["clt", "--in", str(path), "--ns", "4", "--out", str(report)]) == 0
     for out in (product, report):

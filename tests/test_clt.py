@@ -1,6 +1,6 @@
 import pytest
 from oracles import scaled_sum_dist_direct
-from util import rand_dist
+from util import from_words, rand_dist
 
 import bifree.clt
 from bifree.clt import CltReport, CltRow, clt_report, scaled_sum_dist
@@ -19,7 +19,7 @@ def single_left(m2, m4, degree=4):
     moments[()] = ONE
     moments[(A, A)] = m2
     moments[(A, A, A, A)] = m4
-    return Distribution(SIG, degree, moments)
+    return from_words(Distribution, SIG, degree, moments)
 
 
 def test_n_equal_one_is_identity(rng):
@@ -58,7 +58,7 @@ def test_preconditions():
         scaled_sum_dist(mu, 3, 4)  # not a perfect square
     uncentered = dict(mu.moments)
     uncentered[(A,)] = ONE
-    bad = Distribution(SIG, 4, uncentered)
+    bad = from_words(Distribution, SIG, 4, uncentered)
     with pytest.raises(DomainError):
         scaled_sum_dist(bad, 4, 4)
     with pytest.raises(DomainError):
@@ -92,7 +92,7 @@ def test_hermitian_input_gives_psd_limit(rng):
     moments[(c_letter, c_letter)] = qi(1)
     moments[(A, c_letter)] = qi(1)
     moments[(c_letter, A)] = qi(1)
-    mu = Distribution(sig, 4, moments)
+    mu = from_words(Distribution, sig, 4, moments)
     report = clt_report(mu, [4], 4)
     cov = CovarianceSpec(
         sig, {(u, v): mu.moment((u, v)) for u in sig.letters() for v in sig.letters()}

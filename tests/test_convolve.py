@@ -1,8 +1,8 @@
 import itertools
 
 import pytest
-from oracles import s_transform, series_mul
-from util import coprime_dist, rand_dist
+from oracles import dict_retag, s_transform, series_mul
+from util import coprime_dist, from_words, rand_dist
 
 from bifree.convolve import boxplus2, boxtimes2
 from bifree.dist import Distribution, ones_distribution, point_distribution
@@ -53,7 +53,7 @@ def test_signature_and_degree_errors(rng):
 def _assert_matches_tagged_expansion(mu, nu, degree):
     # independent route: re-tag both inputs, take the bi-free product, and
     # sum the 2^n tagged words per output word
-    joint = bifree_product([mu.retag({1: "m"}), nu.retag({1: "n"})], degree)
+    joint = bifree_product([dict_retag(mu, {1: "m"}), dict_retag(nu, {1: "n"})], degree)
     fast = boxplus2(mu, nu, degree)
     for word in SIG.words(degree):
         total = ZERO
@@ -81,7 +81,7 @@ def test_multiplicative_units(rng):
 
 
 def _assert_matches_doubled_word_route(mu, nu, degree):
-    marginals = {"m": mu.retag({1: "m"}), "n": nu.retag({1: "n"})}
+    marginals = {"m": dict_retag(mu, {1: "m"}), "n": dict_retag(nu, {1: "n"})}
     fast = boxtimes2(mu, nu, degree)
     for word in SIG.words(degree):
         doubled = []
@@ -107,7 +107,7 @@ def test_s_transform_of_boxtimes_is_the_product_of_the_s_transforms(rng):
     for _ in range(3):
         tables = rand_dist(SIG, degree, rng), rand_dist(SIG, degree, rng)
         mu, nu = (  # S needs nonzero means
-            Distribution(SIG, degree, {**dist.moments, **{
+            from_words(Distribution, SIG, degree, {**dist.moments, **{
                 (letter,): qi(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
                 for letter in (A, c)}})
             for dist in tables
@@ -121,7 +121,7 @@ def test_s_transform_of_boxtimes_is_the_product_of_the_s_transforms(rng):
         if m + n <= degree:
             moments = dict(product.moments)
             moments[(A,) * m + (c,) * n] += qi(1, 7)
-            perturbed = Distribution(SIG, degree, moments)
+            perturbed = from_words(Distribution, SIG, degree, moments)
             assert s_transform(perturbed, A, c, order) != expected, (m, n)
 
 
@@ -131,7 +131,7 @@ def test_multiplicative_example_single_left_variable():
 
     def dist(m1, m2):
         moments = {(): ONE, (x,): m1, (x, x): m2}
-        return Distribution(sig, 2, moments)
+        return from_words(Distribution, sig, 2, moments)
 
     mu = dist(ZERO, ONE)   # centered, variance 1
     nu = dist(ONE, ONE)    # mean 1, second moment 1

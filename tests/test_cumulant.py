@@ -4,13 +4,17 @@ import tracemalloc
 import pytest
 from oracles import (ConvolutionPowerCache, free_cumulant_oracle, linear_coefficient,
                      power_cumulants, power_moments)
-from util import coprime_dist, rand_dist, rand_scalar
+from util import coprime_dist, from_words, rand_dist, rand_scalar
 
+import bifree.cumulant
+import bifree.dist
+from bifree.cli import main
 from bifree.convolve import boxplus2
-from bifree.cumulant import cumulants_from_moments, dilate, moments_from_cumulants
+from bifree.cumulant import cumulants_from_moments, moments_from_cumulants
 from bifree.dist import CumulantTable, Distribution, point_distribution
 from bifree.engine import bifree_product
 from bifree.errors import DomainError, TruncationError
+from bifree.io import format_covariance
 from bifree.models import CovarianceSpec, gaussian_dist
 from bifree.scalars import ONE, ZERO, qi
 from bifree.words import LEFT, RIGHT, FaceSignature, FamilyFaces, Letter, two_faced
@@ -35,7 +39,7 @@ def test_recursion_matches_convolution_power_oracle(rng):
         assert table == power_cumulants(mu, 5)
         assert moments_from_cumulants(table, 5) == power_moments(table, 5) == mu
     # D comes only from the words up to the requested degree.
-    cut = Distribution(sig, 2, {w: v for w, v in mu.moments.items() if len(w) <= 2})
+    cut = from_words(Distribution, sig, 2, {w: v for w, v in mu.moments.items() if len(w) <= 2})
     assert cumulants_from_moments(mu, 2) == cumulants_from_moments(cut, 2)
 
 
@@ -83,10 +87,16 @@ def test_pure_left_degree_three_closed_form(rng):
     assert table.value((x,) * 3) == m3 - 3 * m1 * m2 + 2 * m1**3
 
 
+def _dilate(mu, s):
+    """Scale every variable by s: the moment of a word picks up s^|w|."""
+    return Distribution(mu.signature, mu.degree,
+                        [s ** len(w) * v for w, v in zip(mu.words(), mu.ranked)])
+
+
 def test_homogeneity_under_dilation(rng):
     mu = rand_dist(SIG, 3, rng)
     s = rand_scalar(rng)
-    scaled = dilate(mu, s)
+    scaled = _dilate(mu, s)
     r = cumulants_from_moments(mu, 3)
     r_scaled = cumulants_from_moments(scaled, 3)
     for word in r.values:
@@ -95,8 +105,8 @@ def test_homogeneity_under_dilation(rng):
 
 def test_dilate_edge_cases(rng):
     mu = rand_dist(SIG, 3, rng)
-    assert dilate(mu, ONE) == mu
-    assert dilate(mu, ZERO) == point_distribution(SIG, 3)
+    assert _dilate(mu, ONE) == mu
+    assert _dilate(mu, ZERO) == point_distribution(SIG, 3)
 
 
 def test_triangularity_probe(rng):
@@ -107,7 +117,7 @@ def test_triangularity_probe(rng):
     shift = qi(7, 3)
     bumped_moments = dict(mu.moments)
     bumped_moments[target] = bumped_moments[target] + shift
-    bumped = Distribution(SIG, 3, bumped_moments)
+    bumped = from_words(Distribution, SIG, 3, bumped_moments)
     r0 = cumulants_from_moments(mu, 3)
     r1 = cumulants_from_moments(bumped, 3)
     for word in r0.values:
@@ -127,7 +137,7 @@ def test_inverse_pair_round_trip(rng):
 
 
 def test_all_zero_cumulants_give_point_distribution():
-    values = {w: ZERO for w in SIG.words(3) if w}
+    values = [ZERO for w in SIG.words(3) if w]
     assert moments_from_cumulants(CumulantTable(SIG, 3, values), 3) == point_distribution(SIG, 3)
 
 
@@ -137,7 +147,7 @@ def test_first_order_cumulant_alone_gives_powers_of_mean():
     m = qi(5, 3)
     values = {w: ZERO for w in sig.words(3) if w}
     values[(x,)] = m
-    mu = moments_from_cumulants(CumulantTable(sig, 3, values), 3)
+    mu = moments_from_cumulants(from_words(CumulantTable, sig, 3, values), 3)
     assert mu.moment((x,)) == m
     assert mu.moment((x, x)) == m**2
     assert mu.moment((x, x, x)) == m**3
@@ -224,3 +234,30 @@ def test_the_recursion_holds_the_blocks_of_one_pattern_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000, peak
+
+
+def test_an_oversize_first_block_list_is_refused_before_it_starts(monkeypatch, tmp_path,
+                                                                  capsys):
+    # one letter to degree 8 is only 9 words, but the word of 8 letters has
+    # 2^7 - 1 = 127 proper first blocks, and degree 7 has 63
+    monkeypatch.setattr(bifree.dist, "MAX_WORDS", 100)
+    listed = []
+    first_blocks = bifree.cumulant._first_blocks
+    monkeypatch.setattr(bifree.cumulant, "_first_blocks",
+                        lambda lefts: listed.append(lefts) or first_blocks(lefts))
+    sig = two_faced(left=("a",), family=1)
+    a = Letter(1, LEFT, "a")
+    cov = CovarianceSpec(sig, {(a, a): ONE})
+    message = ("the first-block list of a word of 8 letters has 127 entries, "
+               "more than the limit of 100")
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        gaussian_dist(cov, 8)
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        cumulants_from_moments(point_distribution(sig, 8), 8)
+    assert listed == []
+    assert gaussian_dist(cov, 7).degree == 7
+    cov_path, out = tmp_path / "a.cov", tmp_path / "g.dist"
+    cov_path.write_text(format_covariance(cov))
+    assert main(["gaussian", "--cov", str(cov_path), "--degree", "8", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()

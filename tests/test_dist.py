@@ -4,15 +4,14 @@ import oracles
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from util import rand_dist
+from util import from_words, rand_dist
 
 import bifree.dist
 from bifree.dist import (CumulantTable, Distribution, group_families, point_distribution,
                          tabulate)
-from bifree.errors import (DomainError, IncompleteTableError, SignatureError,
-                           TruncationError)
+from bifree.errors import DomainError, IncompleteTableError, TruncationError
 from bifree.scalars import ONE, ZERO, qi
-from bifree.words import LEFT, RIGHT, FaceSignature, FamilyFaces, Letter, two_faced
+from bifree.words import LEFT, FaceSignature, FamilyFaces, Letter, two_faced
 
 
 def test_tabulate_passes_each_word_length_to_read():
@@ -49,7 +48,7 @@ def test_restrict_reads_the_words_of_the_kept_families(rng):
         # the definition: every word whose letters all belong to kept families
         filtered = {w: v for w, v in dist.moments.items() if all(l.family in keep for l in w)}
         sub = dist.restrict(keep)
-        assert sub == Distribution(sig.restrict(keep), 3, filtered)
+        assert sub == from_words(Distribution, sig.restrict(keep), 3, filtered)
         assert list(sub.moments) == list(sub.signature.words(3))
     with pytest.raises(DomainError, match="unknown family id 7"):
         dist.restrict((1, 7))
@@ -109,23 +108,21 @@ def test_by_word_view_is_read_only_and_refuses_unknown_words(rng):
         table.value(())
 
 
-def test_a_table_from_a_mapping_names_the_first_missing_and_any_unexpected_word(rng):
+def test_a_table_takes_one_list_that_holds_every_word(rng):
     sig = two_faced(left=("a",), right=("c",), family=1)
-    moments = oracles.by_word(rand_dist(sig, 2, rng))
-    a, c = Letter(1, LEFT, "a"), Letter(1, RIGHT, "c")
-    gaps = dict(moments)
-    del gaps[(c, a)], gaps[(c,)]
-    with pytest.raises(IncompleteTableError, match="'1.c'"):
-        Distribution(sig, 2, gaps)
-    with pytest.raises(DomainError, match=r"^unexpected word 1\.a 1\.a 1\.a in table$"):
-        Distribution(sig, 2, {**moments, (a, a, a): ONE})
-    with pytest.raises(DomainError, match=r"^unexpected word \(\) in table$"):
-        CumulantTable(sig, 2, moments)
+    moments = rand_dist(sig, 2, rng).ranked
     # a list is taken in graded-lex order and must hold every word
     with pytest.raises(IncompleteTableError, match="'1.c 1.c'"):
-        Distribution(sig, 2, list(moments.values())[:-1])
+        Distribution(sig, 2, moments[:-1])
     with pytest.raises(DomainError, match="^8 values for a table of 7 words$"):
-        Distribution(sig, 2, list(moments.values()) + [ONE])
+        Distribution(sig, 2, moments + [ONE])
+    # anything else is refused by its type, before its length or its keys are read
+    by_word = oracles.by_word(Distribution(sig, 2, moments))
+    for values, kind in ((by_word, "dict"), (tuple(moments), "tuple")):
+        with pytest.raises(TypeError, match=f"^a table takes a list in rank order, not {kind}$"):
+            Distribution(sig, 2, values)
+    with pytest.raises(TypeError, match="not dict$"):
+        CumulantTable(sig, 2, by_word)
 
 
 _FAMILIES_SIG = FaceSignature((FamilyFaces(1, ("a",), ("c",), True),
@@ -140,14 +137,12 @@ def _tables(rng):
     return [rand_dist(sig, 3, rng, with_imag=True) for sig in (_FAMILIES_SIG, plain, star)]
 
 
-def test_restrict_retag_and_pooling_match_the_word_keyed_reference(rng):
+def test_restrict_and_pooling_match_the_word_keyed_reference(rng):
     ids = [f.family for f in _FAMILIES_SIG.families]
     for dist in _tables(rng):
         for keep in itertools.chain.from_iterable(itertools.combinations(ids, k)
                                                   for k in range(4)):
             assert oracles.dict_equal(dist.restrict(keep), oracles.dict_restrict(dist, keep))
-        for mapping in ({}, {1: "one"}, {1: 3, 3: 1}, {"x": (1, 0), 3: "y"}):
-            assert oracles.dict_equal(dist.retag(mapping), oracles.dict_retag(dist, mapping))
         if dist.signature.star_closed or not any(f.star_closed
                                                  for f in dist.signature.families):
             # the pooled letters list every left index before any right one
@@ -158,8 +153,6 @@ def test_restrict_retag_and_pooling_match_the_word_keyed_reference(rng):
             for pool in (group_families, oracles.dict_group_families):
                 with pytest.raises(DomainError, match=r"^unexpected word G\.1:a\* in table$"):
                     pool(dist, "G")
-        with pytest.raises(SignatureError):
-            dist.retag({1: "x"})
 
 
 def test_equality_matches_the_word_keyed_reference(rng):
@@ -167,9 +160,9 @@ def test_equality_matches_the_word_keyed_reference(rng):
     moments = oracles.by_word(dist)
     shuffled = list(moments.items())
     rng.shuffle(shuffled)
-    same = Distribution(dist.signature, 3, dict(shuffled))
+    same = from_words(Distribution, dist.signature, 3, dict(shuffled))
     word = rng.choice(list(moments)[1:])
-    other = Distribution(dist.signature, 3, {**moments, word: moments[word] + ONE})
+    other = from_words(Distribution, dist.signature, 3, {**moments, word: moments[word] + ONE})
     whole = dist.restrict([f.family for f in dist.signature.families])
     cumulants = CumulantTable(dist.signature, 3, list(dist.ranked[1:]))
     tables = [dist, same, other, whole, cumulants, dist.restrict((1,))]

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 from oracles import free_product_moment, naive_joint_moment
-from util import coprime_dist, rand_dist
+from util import coprime_dist, from_words, rand_dist
 
 from bifree.dist import Distribution, group_families, tabulate
 from bifree.engine import (TensorState, _apply_step, _EvalContext, _letter_steps, _walk,
@@ -71,7 +71,7 @@ def test_apply_left_centered_leading_block_two_terms(rng):
     # block plus the mu(ab) - mu(a)mu(b) shortening survive
     moments = {w: (ONE if not w else rand_dist(SIG1, 3, rng).moments[w]) for w in SIG1.words(3)}
     moments[(C1,)] = ZERO
-    mu1 = Distribution(SIG1, 3, moments)
+    mu1 = from_words(Distribution, SIG1, 3, moments)
     other = block(2, A2)
     start = TensorState(ZERO, {(block(1, C1), other): ONE})
     state = apply_left(1, A1, start, mu1)
@@ -236,7 +236,7 @@ def test_centered_mixed_fourth_moment_vanishes():
         moments[()] = ONE
         moments[(letter, letter)] = ONE
         moments[(letter,) * 4] = qi(2)
-        return Distribution(sig, 4, moments)
+        return from_words(Distribution, sig, 4, moments)
 
     marginals = {1: semdist(sigx), 2: semdist(sigy)}
     assert joint_moment(marginals, (x1, x2, x1, x2)) == ZERO
@@ -332,7 +332,7 @@ def test_check_bifree_flags_tensor_independence():
         def single(k):
             return ONE if k in (0, 2) else ZERO
         moments[word] = single(c1) * single(c2)
-    joint = Distribution(sig, 4, moments)
+    joint = from_words(Distribution, sig, 4, moments)
     report = check_bifree(joint, 4)
     assert not report.ok
     flagged = {w for w, _, _ in report.mismatches}
@@ -608,7 +608,7 @@ def test_joint_moment_past_the_degree_is_that_of_every_extension(rng):
             for family, mu in marginals.items():
                 moments = dict(rand_dist(mu.signature, 2 * degree + 2, rng, with_imag=True).moments)
                 moments.update(mu.moments)
-                extended[family] = Distribution(mu.signature, 2 * degree + 2, moments)
+                extended[family] = from_words(Distribution, mu.signature, 2 * degree + 2, moments)
             extensions.append(extended)
         for word in union_signatures([sig1, sig2]).words(2 * degree + 2):
             if len(word) <= degree:

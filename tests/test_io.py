@@ -7,7 +7,7 @@ from io import StringIO
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from util import rand_dist, rand_scalar
+from util import from_words, rand_dist, rand_scalar
 
 import bifree.cli as bifree_cli
 import bifree.dist
@@ -85,7 +85,7 @@ def test_covariance_and_vector_rows_with_a_colon_index_round_trip():
 def test_structurally_equal_tables_emit_identical_bytes(rng):
     sig = two_faced(left=("a",), right=("c",), family=1)
     dist = rand_dist(sig, 2, rng)
-    clone = Distribution(sig, 2, dict(reversed(list(dist.moments.items()))))
+    clone = from_words(Distribution, sig, 2, dict(reversed(list(dist.moments.items()))))
     assert clone == dist
     assert format_distribution(clone) == format_distribution(dist)
 
@@ -125,7 +125,7 @@ def test_any_rational_table_round_trips(values):
     moments = {(): ONE}
     for word, value in zip(_PROP_WORDS, values):
         moments[word] = GaussianRational(value)
-    dist = Distribution(_PROP_SIG, 2, moments)
+    dist = from_words(Distribution, _PROP_SIG, 2, moments)
     assert parse_distribution(format_distribution(dist)) == dist
 
 
@@ -154,10 +154,10 @@ def _vector_spec(sig, values, dim):
 # builders from a signature, an endless supply of scalars and a vector dimension
 _KINDS = {
     "moments": (lambda sig, values, _: Distribution(
-        sig, 2, {w: next(values) if w else ONE for w in sig.words(2)}),
+        sig, 2, [next(values) if w else ONE for w in sig.words(2)]),
         format_distribution, parse_distribution),
     "cumulants": (lambda sig, values, _: CumulantTable(
-        sig, 2, {w: next(values) for w in sig.words(2) if w}),
+        sig, 2, [next(values) for w in sig.words(2) if w]),
         format_cumulant_table, parse_cumulant_table),
     "covariance": (lambda sig, values, _: CovarianceSpec(
         sig, {pair: next(values) for pair in itertools.product(sig.letters(), repeat=2)}),
@@ -291,7 +291,7 @@ def test_complex_scalar_format_matches_spec_example():
     a = Letter(1, LEFT, "a")
     cstar = Letter(1, RIGHT, "c", star=True)
     moments[(a, cstar)] = qi(0, 1, 1, 3)
-    text = format_distribution(Distribution(sig, 2, moments))
+    text = format_distribution(from_words(Distribution, sig, 2, moments))
     assert "1.a 1.c* : 0/1 + 1/3 i" in text
 
 

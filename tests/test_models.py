@@ -3,7 +3,7 @@ import itertools
 import oracles
 import pytest
 from oracles import annih_left, create_left, fock_apply, fock_vacuum
-from util import rand_dist, rand_scalar
+from util import from_words, rand_dist, rand_scalar
 
 import bifree.dist
 from bifree.cli import main
@@ -318,7 +318,7 @@ def _hermitian_table(sig, degree, draw):
             x = draw()
             moments[word] = x if star(word) != word else qi(0) + x.re
             moments[star(word)] = moments[word].conjugate()
-    return Distribution(sig, degree, moments)
+    return from_words(Distribution, sig, degree, moments)
 
 
 def _fock_table(sig, degree, rng, with_imag):
@@ -376,7 +376,7 @@ def test_integer_gram_elimination_matches_the_rational_one(rng, involution, with
             word = rng.choice([w for w in sig.words(degree) if star(w) != w])
             moments = dict(mu.moments)
             moments[word] = moments[word] + ONE
-            seen.add(_same_outcome(Distribution(sig, degree, moments), degree))
+            seen.add(_same_outcome(from_words(Distribution, sig, degree, moments), degree))
     assert {"positive", "indefinite", "refused"} <= seen
 
 
@@ -387,7 +387,7 @@ def test_hyperbolic_witness_is_scaled_by_the_pivots_before_it():
     moments[(A, B)] = moments[(B, A)] = qi(3, 5)
     moments[(A,)] = qi(1, 2)
     moments[(A, A)] = qi(1, 4)
-    mu = Distribution(SIG_LR, 2, moments)
+    mu = from_words(Distribution, SIG_LR, 2, moments)
     result = gram_psd_check(mu, 2)
     assert list(result.witness.items()) == list(oracles.fraction_gram_psd_check(mu, 2)
                                                 .witness.items())
@@ -420,7 +420,7 @@ def test_the_gram_fill_by_rank_matches_the_rational_elimination(rng, sig):
                     word = rng.choice(words)
                     moments = dict(mu.moments)
                     moments[word] = moments[word] + ONE
-                    _same_outcome(Distribution(sig, table_degree, moments), degree)
+                    _same_outcome(from_words(Distribution, sig, table_degree, moments), degree)
 
 
 def test_oversize_gram_matrix_and_gaussian_table_are_refused(monkeypatch, tmp_path, capsys):

@@ -1,7 +1,23 @@
-"""Shared builders for random exact fixtures."""
+"""Shared builders for exact fixtures."""
+
+import itertools
 
 from bifree.dist import Distribution
+from bifree.errors import DomainError
 from bifree.scalars import ONE, qi
+from bifree.words import format_word
+
+
+def from_words(cls, signature, degree, by_word):
+    """The `cls` table over `signature` to `degree` whose value at each word
+    is `by_word[word]`; `by_word` must hold exactly the table's words."""
+    words = list(itertools.islice(signature.words(degree), cls.shortest, None))
+    if len(by_word) != len(words):
+        known = set(words)
+        for word in by_word:
+            if word not in known:
+                raise DomainError(f"unexpected word {format_word(word)} in table")
+    return cls(signature, degree, [by_word[word] for word in words])
 
 
 def rand_scalar(rng, with_imag=False):
@@ -11,14 +27,14 @@ def rand_scalar(rng, with_imag=False):
 
 
 def rand_dist(signature, degree, rng, with_imag=False, centered=False):
-    moments = {}
+    moments = []
     for word in signature.words(degree):
         if not word:
-            moments[word] = ONE
+            moments.append(ONE)
         elif centered and len(word) == 1:
-            moments[word] = qi(0)
+            moments.append(qi(0))
         else:
-            moments[word] = rand_scalar(rng, with_imag)
+            moments.append(rand_scalar(rng, with_imag))
     return Distribution(signature, degree, moments)
 
 
@@ -31,12 +47,12 @@ def coprime_dist(signature, degree, rng, re_den, im_den=None):
     def part(den):
         return qi(rng.choice((-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6)), den)
 
-    moments = {}
+    moments = []
     for word in signature.words(degree):
         if not word:
-            moments[word] = ONE
+            moments.append(ONE)
         elif im_den is None:
-            moments[word] = part(re_den)
+            moments.append(part(re_den))
         else:
-            moments[word] = part(re_den) + part(im_den) * qi(0, 1, 1, 1)
+            moments.append(part(re_den) + part(im_den) * qi(0, 1, 1, 1))
     return Distribution(signature, degree, moments)
