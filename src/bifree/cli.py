@@ -2,16 +2,19 @@
 
 Exit status: 0 on success, 1 on a verification failure (bi-freeness
 mismatch, indefinite positivity check, Fock/Gaussian comparison mismatch,
-central-limit decay violation), 2 on an input error.  Outputs are
-deterministic: identical inputs give byte-identical files.  An output is
-formatted in full, a block of lines at a time, before any of it is
-written, so a run that fails writes no output file and nothing on stdout.
+central-limit decay violation), 2 on an input error or an output that
+cannot be written.  Outputs are deterministic: identical inputs give
+byte-identical files.  Every output, a table or a verdict, is formatted in
+full, a block of lines at a time, before `_write` writes any of it as UTF-8
+to the `--out` file or to stdout, so a run that fails writes no output file
+and nothing on stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 from pathlib import Path
 
@@ -51,14 +54,30 @@ def _blocks(fmt, *args) -> list[str]:
 
 
 def _write(path: str | None, blocks: list[str]) -> None:
-    if path is None:
-        sys.stdout.writelines(blocks)
-        return
+    """Write `blocks` to the file at `path`, or to stdout, each block encoded
+    as UTF-8 as it is written; a stdout replaced by a text stream with no
+    byte buffer gets the text itself.  Any output error is a `BifreeError`
+    (exit 2); after one on stdout its descriptor points at os.devnull,
+    Python's recipe for a closed pipe, so the flush at exit neither fails
+    again nor sets status 120.
+    """
+    if path is None and sys.stdout is None:  # descriptor 1 was closed at start
+        raise BifreeError("cannot write stdout: Bad file descriptor")
     try:
-        with Path(path).open("w", encoding="utf-8") as out:
-            out.writelines(blocks)
+        if path is not None:
+            with Path(path).open("wb") as out:
+                out.writelines(block.encode() for block in blocks)
+        elif hasattr(sys.stdout, "buffer"):
+            sys.stdout.flush()
+            sys.stdout.buffer.writelines(block.encode() for block in blocks)
+            sys.stdout.buffer.flush()
+        else:
+            sys.stdout.writelines(blocks)
     except OSError as exc:
-        raise BifreeError(f"cannot write {path}: {exc.strerror}") from None
+        if path is None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise BifreeError(
+            f"cannot write {'stdout' if path is None else path}: {exc.strerror}") from None
 
 
 def _csv_row(word, value) -> str:
@@ -147,107 +166,83 @@ def _degree_or(args, fallback: int) -> int:
     return degree
 
 
-def _run(args) -> int:
-    if args.command == "product":
-        dists = [parse_distribution(_read(p)) for p in args.inputs]
-        degree = _degree_or(args, min(d.degree for d in dists))
-        joint = bifree_product(dists, degree)
-        _write(args.out, _blocks(_dist_output, joint, args.format))
-        return 0
+def _integers(text: str, option: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise BifreeError(f"{option} expects comma-separated integers") from None
 
-    if args.command == "check-bifree":
+
+def _verdict(ok: bool, lines) -> int:
+    """Write a check's verdict lines to stdout; the check's exit status."""
+    _write(None, _blocks(join_lines, lines))
+    return 0 if ok else 1
+
+
+def _run(args) -> int:
+    command = args.command
+    if command == "check-bifree":
         joint = parse_distribution(_read(args.input))
         degree = _degree_or(args, joint.degree)
         report = check_bifree(joint, degree)
-        if report.ok:
-            print(f"bi-free up to degree {degree}")
-            return 0
-        for line in report.lines():
-            print(line)
-        return 1
+        return _verdict(report.ok,
+                        [f"bi-free up to degree {degree}"] if report.ok else report.lines())
 
-    if args.command in ("convolve-add", "convolve-mul"):
-        dists = [parse_distribution(_read(p)) for p in args.inputs]
-        if len(dists) != 2:
-            raise BifreeError("convolution takes exactly two --in tables")
-        degree = _degree_or(args, min(d.degree for d in dists))
-        op = boxplus2 if args.command == "convolve-add" else boxtimes2
-        _write(args.out, _blocks(_dist_output, op(*dists, degree), args.format))
-        return 0
-
-    if args.command == "cumulants":
+    if command == "psd-check":
         mu = parse_distribution(_read(args.input))
-        degree = _degree_or(args, mu.degree)
-        _write(args.out, _blocks(format_cumulant_table, cumulants_from_moments(mu, degree)))
+        result = gram_psd_check(mu, _degree_or(args, mu.degree))
+        return _verdict(result.positive, ["positive"] if result.positive else itertools.chain(
+            ["indefinite; witness polynomial:"], result.witness_lines()))
+
+    if command == "cumulants":
+        mu = parse_distribution(_read(args.input))
+        table = cumulants_from_moments(mu, _degree_or(args, mu.degree))
+        _write(args.out, _blocks(format_cumulant_table, table))
         return 0
 
-    if args.command == "moments":
-        table = parse_cumulant_table(_read(args.input))
-        degree = _degree_or(args, table.degree)
-        _write(args.out,
-               _blocks(_dist_output, moments_from_cumulants(table, degree), args.format))
-        return 0
+    if command == "clt":
+        mu = parse_distribution(_read(args.input))
+        ns = _integers(args.ns, "--ns")
+        report = clt_report(mu, ns, _degree_or(args, mu.degree))
+        _write(args.out, _blocks(report.to_csv))
+        return 0 if report.decay_ok else 1
 
-    if args.command == "gaussian":
-        cov = parse_covariance(_read(args.cov))
-        degree = _degree_or(args, 2)
-        _write(args.out, _blocks(_dist_output, gaussian_dist(cov, degree), args.format))
-        return 0
-
-    if args.command == "fock":
+    if command == "fock":
         spec = parse_vector_spec(_read(args.vectors))
         degree = _degree_or(args, 2)
         table = fock_distribution(spec, degree)
         # built before writing, so an input error leaves no output
         expected = gaussian_dist(covariance_from_vectors(spec), degree) if args.compare else None
         _write(args.out, _blocks(_dist_output, table, args.format))
-        if args.compare:
-            mismatches = [
-                (w, found, want)
-                for w, found, want in zip(spec.signature.words(degree), table.ranked,
-                                          expected.ranked)
-                if found != want
-            ]
-            if mismatches:
-                for w, found, want in mismatches:
-                    print(f"{format_word(w)} : fock {found} gaussian {want}", file=sys.stderr)
-                return 1
-        return 0
-
-    if args.command == "group-example":
-        try:
-            orders = [int(tok) for tok in args.orders.split(",") if tok]
-        except ValueError:
-            raise BifreeError("--orders expects comma-separated integers") from None
-        degree = _degree_or(args, 4)
-        _write(args.out,
-               _blocks(_dist_output, group_example_dist(orders, degree), args.format))
-        return 0
-
-    if args.command == "psd-check":
-        mu = parse_distribution(_read(args.input))
-        degree = _degree_or(args, mu.degree)
-        result = gram_psd_check(mu, degree)
-        if result.positive:
-            print("positive")
+        if not args.compare:
             return 0
-        print("indefinite; witness polynomial:")
-        for line in result.witness_lines():
-            print(line)
-        return 1
+        mismatches = [(w, found, want) for w, found, want in zip(
+            spec.signature.words(degree), table.ranked, expected.ranked) if found != want]
+        for w, found, want in mismatches:
+            print(f"{format_word(w)} : fock {found} gaussian {want}", file=sys.stderr)
+        return 1 if mismatches else 0
 
-    if args.command == "clt":
-        mu = parse_distribution(_read(args.input))
-        try:
-            ns = [int(tok) for tok in args.ns.split(",") if tok]
-        except ValueError:
-            raise BifreeError("--ns expects comma-separated integers") from None
-        degree = _degree_or(args, mu.degree)
-        report = clt_report(mu, ns, degree)
-        _write(args.out, _blocks(report.to_csv))
-        return 0 if report.decay_ok else 1
-
-    raise AssertionError(f"unhandled command {args.command}")
+    # the table commands: one moment table out
+    if command in ("product", "convolve-add", "convolve-mul"):
+        dists = [parse_distribution(_read(p)) for p in args.inputs]
+        if command != "product" and len(dists) != 2:
+            raise BifreeError("convolution takes exactly two --in tables")
+        degree = _degree_or(args, min(d.degree for d in dists))
+        if command == "product":
+            table = bifree_product(dists, degree)
+        else:
+            table = (boxplus2 if command == "convolve-add" else boxtimes2)(*dists, degree)
+    elif command == "moments":
+        cumulants = parse_cumulant_table(_read(args.input))
+        table = moments_from_cumulants(cumulants, _degree_or(args, cumulants.degree))
+    elif command == "gaussian":
+        table = gaussian_dist(parse_covariance(_read(args.cov)), _degree_or(args, 2))
+    elif command == "group-example":
+        table = group_example_dist(_integers(args.orders, "--orders"), _degree_or(args, 4))
+    else:
+        raise AssertionError(f"unhandled command {command}")
+    _write(args.out, _blocks(_dist_output, table, args.format))
+    return 0
 
 
 def main(argv=None) -> int:

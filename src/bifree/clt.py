@@ -22,9 +22,10 @@ from .scalars import GaussianRational, decimal_magnitude
 from .words import Word, format_word
 
 
-def _require_centered(mu: Distribution) -> None:
-    for letter in mu.signature.letters():
-        if mu.moment((letter,)):
+def _require_centered(table: Distribution | CumulantTable) -> None:
+    # the cumulant of one letter is its moment, so either table will do
+    for letter in table.signature.letters():
+        if table.get((letter,)):
             raise DomainError(
                 f"centered input required: word {format_word((letter,))} has "
                 "nonzero moment"
@@ -37,22 +38,18 @@ def _square_root(n: int) -> int:
     return isqrt(n)
 
 
-def _scaled_sum(cumulants: CumulantTable, root: int) -> Distribution:
-    """Moments of the scaled sum from the cumulants of one copy; N = root^2."""
+def scaled_sum_dist(table: Distribution | CumulantTable, n: int, degree: int) -> Distribution:
+    """Distribution of N^(-1/2) times the sum of N bi-free copies of a
+    centered distribution, given by its moment table or its cumulant table."""
+    _require_centered(table)
+    root = _square_root(n)
+    if isinstance(table, Distribution):
+        table = cumulants_from_moments(table, degree)
     # N^(1 - m/2) = root^(2 - m) for a word of m letters
     factors = [GaussianRational(Fraction(root) ** (2 - m))
-               for m in range(cumulants.signature.longest(cumulants.degree) + 1)]
-    scaled = [factors[len(word)] * value
-              for word, value in zip(cumulants.words(), cumulants.ranked)]
-    table = CumulantTable(cumulants.signature, cumulants.degree, scaled)
-    return moments_from_cumulants(table, cumulants.degree)
-
-
-def scaled_sum_dist(mu: Distribution, n: int, degree: int) -> Distribution:
-    """Distribution of N^(-1/2) times the sum of N bi-free copies of mu."""
-    _require_centered(mu)
-    root = _square_root(n)
-    return _scaled_sum(cumulants_from_moments(mu, degree), root)
+               for m in range(table.signature.longest(table.degree) + 1)]
+    scaled = [factors[len(word)] * value for word, value in zip(table.words(), table.ranked)]
+    return moments_from_cumulants(CumulantTable(table.signature, table.degree, scaled), degree)
 
 
 @dataclass
@@ -100,7 +97,8 @@ def clt_report(mu: Distribution, ns, degree: int) -> CltReport:
     """
     _require_centered(mu)
     ns = tuple(ns)
-    roots = [_square_root(n) for n in ns]
+    for n in ns:  # every N is refused or accepted before any work
+        _square_root(n)
     alphabet = mu.signature.letters()
     cov = CovarianceSpec(
         mu.signature, {(u, v): mu.moment((u, v)) for u in alphabet for v in alphabet}
@@ -111,8 +109,8 @@ def clt_report(mu: Distribution, ns, degree: int) -> CltReport:
     errors: dict[int, list[GaussianRational]] = {}
     # the transform refuses a degree past mu's, which an empty N list never needs
     cumulants = cumulants_from_moments(mu, degree) if ns else None
-    for n, root in zip(ns, roots):
-        s_n = _scaled_sum(cumulants, root)
+    for n in ns:
+        s_n = scaled_sum_dist(cumulants, n, degree)
         errors[n] = []
         for word, moment, gaussian in zip(mu.signature.words(degree), s_n.ranked,
                                           limit.ranked):

@@ -19,7 +19,9 @@ eliminates fraction-free on the dilated integers; the two share only the
 involution and the witness's self-check `gram_quadratic_form`.  The
 bi-free partial S-transform is a truncated power series in the moments
 alone, so its product law checks the multiplicative convolution without
-any operator walk.  Restriction, family pooling and equality are done on
+any operator walk; its cumulants, summed over non-crossing partitions of
+the doubled word from the cumulants of the two factors, check it on every
+signature.  Restriction, family pooling and equality are done on
 word-keyed dicts, read one word at a time, where the library maps value
 lists by rank; renaming family ids, which only these checks need, is done
 the same way.
@@ -34,6 +36,7 @@ from math import isqrt
 from util import from_words
 
 from bifree.convolve import boxplus2
+from bifree.cumulant import cumulants_from_moments
 from bifree.dist import CumulantTable, Distribution, point_distribution
 from bifree.engine import bifree_product
 from bifree.errors import DomainError, TruncationError
@@ -172,6 +175,62 @@ def free_cumulant_oracle(mu, word):
             product = product * mu.moment(tuple(word[i] for i in block))
         total = total + product
     return total
+
+
+def _joins_to_one(blocks, n):
+    """Whether `blocks`, joined with the pairs {2i, 2i+1}, connect all 2n
+    positions (union-find)."""
+    parent = list(range(2 * n))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for group in itertools.chain(blocks, ((2 * i, 2 * i + 1) for i in range(n))):
+        for x in group[1:]:
+            parent[root(x)] = root(group[0])
+    return len({root(x) for x in range(2 * n)}) == 1
+
+
+def _boxtimes_cumulant(kappas, word, right_order):
+    # letter i becomes positions 2i and 2i+1 on its side, holding its copies
+    # in the order (0, 1) = (mu, nu), or `right_order` for a right letter
+    copy, letters = [], []
+    for letter in word:
+        copy.extend((0, 1) if letter.side == LEFT else right_order)
+        letters += [letter, letter]
+    m = len(letters)
+    s_chi = ([p for p in range(m) if letters[p].side == LEFT]
+             + [p for p in reversed(range(m)) if letters[p].side != LEFT])
+    total = ZERO
+    for partition in noncrossing_partitions(m):
+        blocks = [sorted(s_chi[i] for i in block) for block in partition]
+        if any(len({copy[p] for p in block}) > 1 for block in blocks):
+            continue
+        if not _joins_to_one(blocks, len(word)):
+            continue
+        term = ONE
+        for block in blocks:
+            term = term * kappas[copy[block[0]]][tuple(letters[p] for p in block)]
+        total = total + term
+    return total
+
+
+def boxtimes_cumulants(mu, nu, degree, right_order=(0, 1)):
+    """word -> the bi-free cumulant of mu boxtimes nu, for every nonempty word
+    up to `degree`, by cumulants with products as entries (Charlesworth,
+    Nelson and Skoufranis).  Each letter is its mu-copy times its nu-copy.
+    The cumulant of a word sums over the partitions pi of the doubled word
+    that are non-crossing in its s_chi order, keep each block inside one
+    copy, and join with the letter pairs to a single block; each such pi
+    adds the product of its blocks' cumulants in their copy.  Those come
+    from `cumulants_from_moments`, which shares no code with the operator
+    walk of `boxtimes2`.  `right_order=(1, 0)`, a negative control, puts a
+    right letter's nu-copy first."""
+    kappas = [by_word(cumulants_from_moments(dist, degree)) for dist in (mu, nu)]
+    return {word: _boxtimes_cumulant(kappas, word, right_order)
+            for word in mu.signature.words(degree) if word}
 
 
 @dataclass

@@ -1,7 +1,11 @@
 import csv
 import itertools
+import os
+import subprocess
+import sys
 from collections import Counter
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from util import from_words, rand_dist, rand_scalar
@@ -10,14 +14,16 @@ import bifree.cli
 import bifree.io
 from bifree.cli import main
 from bifree.dist import Distribution
+from bifree.engine import BifreenessReport
 from bifree.errors import DomainError
 from bifree.io import (format_covariance, format_distribution, format_vector_spec,
                        parse_distribution)
-from bifree.models import (CovarianceSpec, VectorSpec, fock_distribution, gram_psd_check,
-                           group_example_dist)
+from bifree.models import (CovarianceSpec, PsdResult, VectorSpec, fock_distribution,
+                           gram_psd_check, group_example_dist)
 from bifree.scalars import ONE, ZERO, qi
 from bifree.words import LEFT, RIGHT, FaceSignature, FamilyFaces, Letter, format_word, two_faced
 
+SRC = str(Path(bifree.cli.__file__).parents[1])
 SIG = two_faced(left=("a",), right=("c",), family=1)
 A = Letter(1, LEFT, "a")
 C = Letter(1, RIGHT, "c")
@@ -96,10 +102,8 @@ def test_product_and_check_bifree(tmp_path, rng):
     assert main(["check-bifree", "--in", str(joint)]) == 0
 
 
-def test_check_bifree_detects_mismatch(tmp_path, capsys):
-    from bifree.dist import Distribution
-    from bifree.words import FaceSignature
-
+def _tensor_table(tmp_path):
+    """A classically independent pair of one-letter families, not bi-free."""
     sigx = two_faced(left=("x",), family=1)
     sigy = two_faced(left=("x",), family=2)
     sig = FaceSignature(sigx.families + sigy.families)
@@ -112,7 +116,11 @@ def test_check_bifree_detects_mismatch(tmp_path, capsys):
         moments[word] = ok1 * ok2
     path = tmp_path / "tensor.dist"
     path.write_text(format_distribution(from_words(Distribution, sig, 4, moments)))
-    assert main(["check-bifree", "--in", str(path)]) == 1
+    return path
+
+
+def test_check_bifree_detects_mismatch(tmp_path, capsys):
+    assert main(["check-bifree", "--in", str(_tensor_table(tmp_path))]) == 1
     assert "expected 0 found 1" in capsys.readouterr().out
 
 
@@ -149,15 +157,82 @@ def test_gaussian_and_psd_check(tmp_path):
     assert main(["psd-check", "--in", str(g), "--degree", "4"]) == 0
 
 
-def test_psd_check_indefinite_exit(tmp_path, capsys):
+def _indefinite_table(tmp_path):
+    """The degree-4 Gaussian of one letter with covariance -1."""
     sig = two_faced(left=("a",), family=1)
     a = Letter(1, LEFT, "a")
     cov_path = tmp_path / "c.cov"
     cov_path.write_text(format_covariance(CovarianceSpec(sig, {(a, a): qi(-1)})))
     g = tmp_path / "g.dist"
     assert main(["gaussian", "--cov", str(cov_path), "--degree", "4", "--out", str(g)]) == 0
-    assert main(["psd-check", "--in", str(g), "--degree", "4"]) == 1
+    return g
+
+
+def test_psd_check_indefinite_exit(tmp_path, capsys):
+    assert main(["psd-check", "--in", str(_indefinite_table(tmp_path)), "--degree", "4"]) == 1
     assert "witness" in capsys.readouterr().out
+
+
+def _one_line_then_an_error(self):
+    yield "a first line"
+    raise DomainError("a later line cannot be formatted")
+
+
+@pytest.mark.parametrize("command, table, report, lines", [
+    ("check-bifree", _tensor_table, BifreenessReport, "lines"),
+    ("psd-check", _indefinite_table, PsdResult, "witness_lines"),
+], ids=["check-bifree", "psd-check"])
+def test_a_verdict_that_fails_to_format_writes_nothing_on_stdout(tmp_path, capsys, monkeypatch,
+                                                                 command, table, report, lines):
+    path = table(tmp_path)
+    monkeypatch.setattr(report, lines, _one_line_then_an_error)
+    assert main([command, "--in", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: a later line cannot be formatted\n")
+
+
+CLI = [sys.executable, "-m", "bifree.cli"]
+
+
+def _env(**extra):
+    return dict(os.environ, PYTHONPATH=SRC, **extra)
+
+
+def _bifree(*argv, **env):
+    """Run the CLI in a child process: (exit status, stdout bytes, stderr text)."""
+    proc = subprocess.run(CLI + list(argv), capture_output=True, env=_env(**env), timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr.decode()
+
+
+def test_a_reader_that_closes_early_is_one_output_error():
+    with subprocess.Popen(CLI + ["group-example", "--orders", "2,3", "--degree", "8"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env()) as proc:
+        assert len(proc.stdout.read(10)) == 10  # of a 3 MB table
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 2
+    assert err == "error: cannot write stdout: Broken pipe\n"
+
+
+def test_a_closed_stdout_is_one_output_error():
+    proc = subprocess.run(CLI + ["group-example", "--orders", "2"], stderr=subprocess.PIPE,
+                          env=_env(), preexec_fn=lambda: os.close(1), timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: cannot write stdout: Bad file descriptor\n"
+
+
+@pytest.mark.parametrize("family, index", [(1, "a²"), ("ж", "a")])
+def test_stdout_is_utf8_whatever_the_locale(tmp_path, family, index):
+    letter = f"{family}.{index}"
+    path = tmp_path / "mu.dist"
+    path.write_text(f"# family {family} left: {index}\n# star: no\n# degree: 2\n() : 1\n"
+                    f"{letter} : 1/2\n{letter} {letter} : 1\n", encoding="utf-8")
+    cum, back = tmp_path / "mu.cum", tmp_path / "back.dist"
+    assert _bifree("cumulants", "--in", str(path), "--out", str(cum)) == (0, b"", "")
+    status, out, err = _bifree("cumulants", "--in", str(path), PYTHONIOENCODING="latin-1")
+    assert (status, out, err) == (0, cum.read_bytes(), "")
+    cum.write_bytes(out)
+    assert main(["moments", "--in", str(cum), "--out", str(back)]) == 0
+    assert back.read_bytes() == path.read_bytes()
 
 
 def test_psd_check_refuses_a_non_hermitian_table(tmp_path, capsys):

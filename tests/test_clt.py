@@ -4,6 +4,7 @@ from util import from_words, rand_dist
 
 import bifree.clt
 from bifree.clt import CltReport, CltRow, clt_report, scaled_sum_dist
+from bifree.cumulant import cumulants_from_moments
 from bifree.dist import Distribution
 from bifree.errors import DomainError
 from bifree.models import CovarianceSpec, gaussian_dist, gram_psd_check
@@ -48,8 +49,11 @@ def test_known_fourth_moment_at_n_four():
 def test_cumulant_scaling_equals_direct_product_path(rng):
     sig = two_faced(left=("a",), right=("c",), family=1)
     mu = rand_dist(sig, 4, rng, centered=True)
+    cumulants = cumulants_from_moments(mu, 4)
     for n in (1, 4):
         assert scaled_sum_dist(mu, n, 4) == scaled_sum_dist_direct(mu, n, 4)
+        assert scaled_sum_dist(cumulants, n, 4) == scaled_sum_dist(mu, n, 4)
+    assert scaled_sum_dist(cumulants, 4, 3) == scaled_sum_dist(mu, 4, 3)
 
 
 def test_preconditions():
@@ -59,8 +63,10 @@ def test_preconditions():
     uncentered = dict(mu.moments)
     uncentered[(A,)] = ONE
     bad = from_words(Distribution, SIG, 4, uncentered)
-    with pytest.raises(DomainError):
-        scaled_sum_dist(bad, 4, 4)
+    # the cumulant of one letter is its moment: either table is refused alike
+    for table in (bad, cumulants_from_moments(bad, 4)):
+        with pytest.raises(DomainError, match="^centered input required: word 1.a has nonzero"):
+            scaled_sum_dist(table, 4, 4)
     with pytest.raises(DomainError):
         clt_report(bad, [4], 4)
 
@@ -136,5 +142,10 @@ def test_report_transforms_once_and_matches_per_n_scaled_sums(rng, monkeypatch):
         return transform(*args)
 
     monkeypatch.setattr(bifree.clt, "cumulants_from_moments", counted)
+    sums = []
+    scaled = bifree.clt.scaled_sum_dist
+    monkeypatch.setattr(bifree.clt, "scaled_sum_dist",
+                        lambda *args: sums.append(args[1]) or scaled(*args))
     assert clt_report(mu, ns, 4).to_csv() == expected
-    assert len(calls) == 1
+    # one transform, then each N through scaled_sum_dist, as perfbench counts it
+    assert len(calls) == 1 and sums == list(ns)

@@ -1,10 +1,13 @@
 import itertools
+from math import comb
 
 import pytest
-from oracles import dict_retag, s_transform, series_mul
+from oracles import (boxtimes_cumulants, by_word, dict_retag, noncrossing_partitions,
+                     s_transform, series_mul)
 from util import coprime_dist, from_words, rand_dist
 
 from bifree.convolve import boxplus2, boxtimes2
+from bifree.cumulant import cumulants_from_moments
 from bifree.dist import Distribution, ones_distribution, point_distribution
 from bifree.engine import bifree_product, joint_moment
 from bifree.errors import SignatureError, TruncationError
@@ -123,6 +126,27 @@ def test_s_transform_of_boxtimes_is_the_product_of_the_s_transforms(rng):
             moments[(A,) * m + (c,) * n] += qi(1, 7)
             perturbed = from_words(Distribution, SIG, degree, moments)
             assert s_transform(perturbed, A, c, order) != expected, (m, n)
+
+
+def test_noncrossing_partitions_are_counted_by_the_catalan_numbers():
+    for n in range(9):
+        partitions = noncrossing_partitions(n)
+        assert len(partitions) == comb(2 * n, n) // (n + 1)
+        assert all(block for partition in partitions for block in partition)
+        assert all(sorted(itertools.chain(*partition)) == list(range(n))
+                   for partition in partitions)
+
+
+@pytest.mark.parametrize("left, with_imag", [("a", False), ("ab", False), ("a", True)])
+def test_boxtimes_cumulants_are_products_as_entries(rng, left, with_imag):
+    sig = two_faced(left=tuple(left), right=("c",), family=1)
+    mu, nu = (rand_dist(sig, 4, rng, with_imag=with_imag) for _ in range(2))
+    oracle = boxtimes_cumulants(mu, nu, 4)
+    assert by_word(cumulants_from_moments(boxtimes2(mu, nu, 4), 4)) == oracle
+    # negative controls: a right letter's copies the other way round, and
+    # the additive convolution, each differ from the oracle
+    assert boxtimes_cumulants(mu, nu, 4, right_order=(1, 0)) != oracle
+    assert by_word(cumulants_from_moments(boxplus2(mu, nu, 4), 4)) != oracle
 
 
 def test_multiplicative_example_single_left_variable():
