@@ -9,9 +9,9 @@ The test-suite checks this against the N-fold bi-free product for small N.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
 from .cumulant import cumulants_from_moments, moments_from_cumulants
 from .dist import CumulantTable, Distribution
@@ -52,8 +52,7 @@ def scaled_sum_dist(table: Distribution | CumulantTable, n: int, degree: int) ->
     return moments_from_cumulants(CumulantTable(table.signature, table.degree, scaled), degree)
 
 
-@dataclass
-class CltRow:
+class CltRow(NamedTuple):
     word: Word
     n: int
     moment: GaussianRational
@@ -61,8 +60,7 @@ class CltRow:
     error: GaussianRational  # exact difference moment - gaussian
 
 
-@dataclass
-class CltReport:
+class CltReport(NamedTuple):
     degree: int
     ns: tuple[int, ...]
     rows: list[CltRow]

@@ -26,24 +26,31 @@ from .scalars import ONE, Dilation
 from .words import LEFT
 
 
-def _first_blocks(lefts: tuple[bool, ...]) -> list:
+def _first_blocks(lefts: tuple[bool, ...], sizes) -> list:
     """(block, gaps) position tuples for every proper block holding the
-    s_chi-first position of a word whose left positions are flagged.
+    s_chi-first position of a word whose left positions are flagged, for the
+    block lengths in `sizes` (each less than the word's).
 
     The blocks grow along the s_chi order, each next position either
-    joining the block or extending the open run of the gap it falls in."""
+    joining the block or extending the open run of the gap it falls in; a
+    block stops growing at the largest size."""
     n = len(lefts)
     order = [i for i in range(n) if lefts[i]] + [i for i in reversed(range(n)) if not lefts[i]]
+    largest = max(sizes, default=0)
     partial = [((order[0],), (), ())]  # (block, closed gaps, open run), in s_chi order
     for pos in order[1:]:
         grown = []
         for block, gaps, run in partial:
-            grown.append((block + (pos,), gaps + (tuple(sorted(run)),) if run else gaps, ()))
+            if len(block) < largest:
+                grown.append((block + (pos,), gaps + (tuple(sorted(run)),) if run else gaps, ()))
             grown.append((block, gaps, run + (pos,)))
         partial = grown
-    del partial[0]  # the whole word
-    for i, (block, gaps, run) in enumerate(partial):  # in place: the list is long
-        partial[i] = tuple(sorted(block)), gaps + (tuple(sorted(run)),) if run else gaps
+    kept = 0
+    for block, gaps, run in partial:  # in place: the list is long
+        if len(block) in sizes:
+            partial[kept] = tuple(sorted(block)), gaps + (tuple(sorted(run)),) if run else gaps
+            kept += 1
+    del partial[kept:]
     return partial
 
 
@@ -75,7 +82,9 @@ def _solve(signature, degree: int, given: list, given_moments: bool) -> list:
     be solved in any order: they are taken pattern by pattern, each
     left/right pattern's blocks listed once, for the words whose letters
     follow that pattern.  The longest pattern's list of 2^(n-1) - 1 blocks
-    is refused at once if it would not fit."""
+    is refused at once if it would not fit.  Given cumulants, a block whose
+    length has none nonzero adds nothing, and is not listed: a Gaussian's
+    words sum only their blocks of two letters."""
     longest = signature.longest(degree)
     if longest:
         check_size(2 ** (longest - 1) - 1, f"the first-block list of a word of {longest} letters")
@@ -99,9 +108,11 @@ def _solve(signature, degree: int, given: list, given_moments: bool) -> list:
         known.extend(dil.dilated(v, n) for v in given[offsets[n] - 1:offsets[n] + size ** n - 1])
     solved = [None] * len(known)
     kappa, mu = (solved, known) if given_moments else (known, solved)
+    live = [n for n in lengths if given_moments or any(known[offsets[n]:offsets[n] + size ** n])]
     for n in lengths:
+        sizes = [m for m in live if m < n]
         for lefts in itertools.product(sides, repeat=n):
-            blocks = _first_blocks(lefts)
+            blocks = _first_blocks(lefts, sizes)
             for digits in itertools.product(*map(sides.__getitem__, lefts)):
                 rank = offsets[n] + sum(map(mul, digits, weights[n]))
                 lower = _lower_terms(digits, blocks, kappa, mu, ranker, dil.zero)

@@ -40,8 +40,7 @@ GaussianRational values, and read the blocks of the result back out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .dist import Distribution, tabulate
 from .errors import DomainError, SignatureError, TruncationError
@@ -370,8 +369,7 @@ def bifree_product(marginals: Sequence[Distribution], degree: int) -> Distributi
     return _table(marginals, signature, degree, lambda letter: ((tag_of[letter.family],),))
 
 
-@dataclass
-class BifreenessReport:
+class BifreenessReport(NamedTuple):
     """Differences between a joint distribution and the bi-free prediction."""
 
     degree: int

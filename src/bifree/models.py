@@ -13,15 +13,14 @@ realization of the bi-free central limit rather than one walk with itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .cumulant import moments_from_cumulants
 from .dist import CumulantTable, Distribution, check_size, check_table_size, tabulate
 from .errors import DomainError, TruncationError
 from .scalars import ONE, ZERO, Dilation, GaussianRational, format_scalar
-from .words import (LEFT, FaceSignature, FamilyFaces, Letter, Word,
+from .words import (LEFT, FaceSignature, FamilyFaces, Letter, Record, Word,
                     format_letter, format_word, word_star)
 
 Vector = tuple  # tuple[GaussianRational, ...]
@@ -41,28 +40,28 @@ def inner(u: Vector, v: Vector) -> GaussianRational:
 # Vector data and covariance data
 
 
-@dataclass
-class VectorSpec:
-    """Maps h and h* from the index set into a coordinate space."""
+class VectorSpec(Record):
+    """Maps h and h* from the index set into a coordinate space: `h` and
+    `h_star` take (family, side, index) to a vector of `dim` scalars."""
 
-    signature: FaceSignature
-    dim: int
-    h: dict[tuple[object, str, str], Vector]       # (family, side, index) -> vector
-    h_star: dict[tuple[object, str, str], Vector]
+    __slots__ = _fields = ("signature", "dim", "h", "h_star")
 
-    def __post_init__(self):
-        for letter in self.signature.letters():
+    def __init__(self, signature: FaceSignature, dim: int,
+                 h: dict[tuple[object, str, str], Vector],
+                 h_star: dict[tuple[object, str, str], Vector]):
+        for letter in signature.letters():
             if letter.star:
                 continue
             key = (letter.family, letter.side, letter.index)
-            if key not in self.h or key not in self.h_star:
+            if key not in h or key not in h_star:
                 raise DomainError(
                     f"vector spec misses h or h* for index {format_letter(letter)}"
                 )
-        for table in (self.h, self.h_star):
+        for table in (h, h_star):
             for vec in table.values():
-                if len(vec) != self.dim:
+                if len(vec) != dim:
                     raise DomainError("vector length does not match declared dimension")
+        self._set(signature=signature, dim=dim, h=h, h_star=h_star)
 
     def operator_vectors(self, letter: Letter) -> tuple[Vector, Vector]:
         """(creation vector, annihilation vector) realizing the letter."""
@@ -142,22 +141,22 @@ def fock_distribution(spec: VectorSpec, degree: int) -> Distribution:
     return tabulate(spec.signature, degree, walk.start, walk.step, walk.read)
 
 
-@dataclass
-class CovarianceSpec:
+class CovarianceSpec(Record):
     """Second-order data: one scalar per ordered pair of letters."""
 
-    signature: FaceSignature
-    c: dict[tuple[Letter, Letter], GaussianRational]
+    __slots__ = _fields = ("signature", "c")
 
-    def __post_init__(self):
-        alphabet = self.signature.letters()
+    def __init__(self, signature: FaceSignature,
+                 c: dict[tuple[Letter, Letter], GaussianRational]):
+        alphabet = signature.letters()
         for u in alphabet:
             for v in alphabet:
-                if (u, v) not in self.c:
+                if (u, v) not in c:
                     raise DomainError(
                         "covariance misses pair "
                         f"({format_letter(u)}, {format_letter(v)})"
                     )
+        self._set(signature=signature, c=c)
 
     def value(self, u: Letter, v: Letter) -> GaussianRational:
         return self.c[(u, v)]
@@ -190,8 +189,7 @@ def gaussian_dist(cov: CovarianceSpec, degree: int) -> Distribution:
 # Exact positivity of the Gram form
 
 
-@dataclass
-class PsdResult:
+class PsdResult(NamedTuple):
     positive: bool
     witness: dict[Word, GaussianRational] | None = None
 

@@ -13,8 +13,6 @@ sum_i idx(w_i) * L^(n-1-i), its letter indices read as base-L digits.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, InvolutionError, SignatureError
@@ -51,34 +49,75 @@ def check_index(family, index: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class FamilyFaces:
+class Record:
+    """Named fields in slots, set once by `__init__`, with a dataclass's
+    equality, hash and repr: two records of one class are equal when their
+    fields are.  A subclass lists its fields in `_fields` and its slots,
+    and sets them through `_set`."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, **slots) -> None:
+        for name, value in slots.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle through the validating constructor
+        return type(self), self._values()
+
+
+class FamilyFaces(Record):
     """One family's declaration: left face I, right face J, star closure."""
 
-    family: object
-    left: tuple[str, ...] = ()
-    right: tuple[str, ...] = ()
-    star_closed: bool = False
+    __slots__ = _fields = ("family", "left", "right", "star_closed")
 
-    def __post_init__(self):
-        for index in self.left + self.right:
-            check_index(self.family, index)
-        if len(set(self.left)) != len(self.left) or len(set(self.right)) != len(self.right):
-            raise SignatureError(f"duplicate index in family {self.family!r}")
-        if set(self.left) & set(self.right):
+    def __init__(self, family, left: tuple[str, ...] = (), right: tuple[str, ...] = (),
+                 star_closed: bool = False):
+        for index in left + right:
+            check_index(family, index)
+        if len(set(left)) != len(left) or len(set(right)) != len(right):
+            raise SignatureError(f"duplicate index in family {family!r}")
+        if set(left) & set(right):
             raise SignatureError(
-                f"left and right faces of family {self.family!r} must be disjoint"
+                f"left and right faces of family {family!r} must be disjoint"
             )
+        self._set(family=family, left=left, right=right, star_closed=star_closed)
 
 
-@dataclass(frozen=True)
-class FaceSignature:
-    families: tuple[FamilyFaces, ...] = ()
+class FaceSignature(Record):
+    """The families' faces, in declaration order; `letter_ids` holds the
+    index of each letter in `letters()`."""
 
-    def __post_init__(self):
-        ids = [f.family for f in self.families]
+    __slots__ = ("families", "letter_ids")
+    _fields = ("families",)
+
+    def __init__(self, families: tuple[FamilyFaces, ...] = ()):
+        ids = [f.family for f in families]
         if len(set(ids)) != len(ids):
             raise SignatureError("family ids must be unique")
+        self._set(families=families)
+        self._set(letter_ids={letter: i for i, letter in enumerate(self.letters())})
 
     @property
     def star_closed(self) -> bool:
@@ -99,11 +138,6 @@ class FaceSignature:
                     if fam.star_closed:
                         out.append(Letter(fam.family, side, index, True))
         return tuple(out)
-
-    @cached_property
-    def letter_ids(self) -> dict[Letter, int]:
-        """The index of each letter in `letters()`."""
-        return {letter: i for i, letter in enumerate(self.letters())}
 
     def rank(self, word: Word) -> int:
         """The index of `word` in `words(len(word))`; KeyError for a letter

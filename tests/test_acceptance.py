@@ -9,7 +9,7 @@ import itertools
 import random
 
 import pytest
-from oracles import free_cumulant_oracle, naive_joint_moment, scaled_sum_dist_direct
+from reference import free_cumulant_oracle, naive_joint_moment, scaled_sum_dist_direct
 from util import from_words, rand_dist
 
 from bifree.cli import main

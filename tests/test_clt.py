@@ -1,5 +1,5 @@
 import pytest
-from oracles import scaled_sum_dist_direct
+from reference import scaled_sum_dist_direct
 from util import from_words, rand_dist
 
 import bifree.clt

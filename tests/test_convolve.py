@@ -2,8 +2,8 @@ import itertools
 from math import comb
 
 import pytest
-from oracles import (boxtimes_cumulants, by_word, dict_retag, noncrossing_partitions,
-                     s_transform, series_mul)
+from reference import (boxtimes_cumulants, by_word, dict_retag, noncrossing_partitions,
+                       s_transform, series_mul)
 from util import coprime_dist, from_words, rand_dist
 
 from bifree.convolve import boxplus2, boxtimes2

@@ -2,8 +2,8 @@ import itertools
 import tracemalloc
 
 import pytest
-from oracles import (ConvolutionPowerCache, free_cumulant_oracle, linear_coefficient,
-                     power_cumulants, power_moments)
+from reference import (ConvolutionPowerCache, free_cumulant_oracle, linear_coefficient,
+                       power_cumulants, power_moments)
 from util import coprime_dist, from_words, rand_dist, rand_scalar
 
 import bifree.cumulant
@@ -41,6 +41,28 @@ def test_recursion_matches_convolution_power_oracle(rng):
     # D comes only from the words up to the requested degree.
     cut = from_words(Distribution, sig, 2, {w: v for w, v in mu.moments.items() if len(w) <= 2})
     assert cumulants_from_moments(mu, 2) == cumulants_from_moments(cut, 2)
+
+
+@pytest.mark.parametrize("zero", [(1, 3, 4, 5), (1,), (3,)],
+                         ids=["gaussian", "degree-one", "middle-degree"])
+def test_moments_skip_the_blocks_of_lengths_with_no_nonzero_cumulant(rng, zero, monkeypatch):
+    sig = FaceSignature((FamilyFaces(1, ("a",), ("c",)), FamilyFaces(2, (), ("d",))))
+    values = [ZERO if len(word) in zero else rand_scalar(rng, with_imag=True)
+              for word in itertools.islice(sig.words(5), 1, None)]
+    table = CumulantTable(sig, 5, values)
+    lengths = set()
+    first_blocks = bifree.cumulant._first_blocks
+
+    def listing(lefts, sizes):
+        blocks = first_blocks(lefts, sizes)
+        lengths.update(len(block) for block, _ in blocks)
+        return blocks
+
+    monkeypatch.setattr(bifree.cumulant, "_first_blocks", listing)
+    mu = moments_from_cumulants(table, 5)
+    assert lengths == set(range(1, 5)) - set(zero)
+    assert mu == power_moments(table, 5)
+    assert cumulants_from_moments(mu, 5) == table
 
 
 def test_mixed_family_cumulants_of_product_vanish(rng):
@@ -244,7 +266,7 @@ def test_an_oversize_first_block_list_is_refused_before_it_starts(monkeypatch, t
     listed = []
     first_blocks = bifree.cumulant._first_blocks
     monkeypatch.setattr(bifree.cumulant, "_first_blocks",
-                        lambda lefts: listed.append(lefts) or first_blocks(lefts))
+                        lambda lefts, sizes: listed.append(lefts) or first_blocks(lefts, sizes))
     sig = two_faced(left=("a",), family=1)
     a = Letter(1, LEFT, "a")
     cov = CovarianceSpec(sig, {(a, a): ONE})

@@ -1,6 +1,6 @@
 import itertools
 
-import oracles
+import reference
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -99,7 +99,7 @@ def test_by_word_view_is_read_only_and_refuses_unknown_words(rng):
     for word in ((a, a, a), (Letter(2, LEFT, "a"),), (a, Letter(1, LEFT, "a", True))):
         assert word not in dist.moments and dist.moments.get(word) is None
     assert len(dist.moments) == 7 and list(dist.moments) == list(sig.words(2))
-    assert dict(dist.moments.items()) == oracles.by_word(dist)
+    assert dict(dist.moments.items()) == reference.by_word(dist)
     with pytest.raises(TruncationError):
         dist.moment((a, a, a))
     table = CumulantTable(sig, 2, list(dist.ranked[1:]))
@@ -117,7 +117,7 @@ def test_a_table_takes_one_list_that_holds_every_word(rng):
     with pytest.raises(DomainError, match="^8 values for a table of 7 words$"):
         Distribution(sig, 2, moments + [ONE])
     # anything else is refused by its type, before its length or its keys are read
-    by_word = oracles.by_word(Distribution(sig, 2, moments))
+    by_word = reference.by_word(Distribution(sig, 2, moments))
     for values, kind in ((by_word, "dict"), (tuple(moments), "tuple")):
         with pytest.raises(TypeError, match=f"^a table takes a list in rank order, not {kind}$"):
             Distribution(sig, 2, values)
@@ -142,22 +142,22 @@ def test_restrict_and_pooling_match_the_word_keyed_reference(rng):
     for dist in _tables(rng):
         for keep in itertools.chain.from_iterable(itertools.combinations(ids, k)
                                                   for k in range(4)):
-            assert oracles.dict_equal(dist.restrict(keep), oracles.dict_restrict(dist, keep))
+            assert reference.dict_equal(dist.restrict(keep), reference.dict_restrict(dist, keep))
         if dist.signature.star_closed or not any(f.star_closed
                                                  for f in dist.signature.families):
             # the pooled letters list every left index before any right one
             grouped = group_families(dist, "G")
             assert grouped.signature.letters() != dist.signature.letters()
-            assert oracles.dict_equal(grouped, oracles.dict_group_families(dist, "G"))
+            assert reference.dict_equal(grouped, reference.dict_group_families(dist, "G"))
         else:
-            for pool in (group_families, oracles.dict_group_families):
+            for pool in (group_families, reference.dict_group_families):
                 with pytest.raises(DomainError, match=r"^unexpected word G\.1:a\* in table$"):
                     pool(dist, "G")
 
 
 def test_equality_matches_the_word_keyed_reference(rng):
     dist = _tables(rng)[0]
-    moments = oracles.by_word(dist)
+    moments = reference.by_word(dist)
     shuffled = list(moments.items())
     rng.shuffle(shuffled)
     same = from_words(Distribution, dist.signature, 3, dict(shuffled))
@@ -167,7 +167,7 @@ def test_equality_matches_the_word_keyed_reference(rng):
     cumulants = CumulantTable(dist.signature, 3, list(dist.ranked[1:]))
     tables = [dist, same, other, whole, cumulants, dist.restrict((1,))]
     for a, b in itertools.product(tables, repeat=2):
-        assert (a == b) == oracles.dict_equal(a, b)
+        assert (a == b) == reference.dict_equal(a, b)
     assert same == dist == whole and other != dist and cumulants != dist
 
 

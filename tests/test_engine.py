@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import free_product_moment, naive_joint_moment
+from reference import free_product_moment, naive_joint_moment
 from util import coprime_dist, from_words, rand_dist
 
 from bifree.dist import Distribution, group_families, tabulate

@@ -1,8 +1,8 @@
 import itertools
 
-import oracles
+import reference
 import pytest
-from oracles import annih_left, create_left, fock_apply, fock_vacuum
+from reference import annih_left, create_left, fock_apply, fock_vacuum
 from util import from_words, rand_dist, rand_scalar
 
 import bifree.dist
@@ -117,7 +117,7 @@ def test_fock_distribution_matches_per_word_fock_moment(rng):
     spec = VectorSpec(sig, 2, h, h_star)
     tab = fock_distribution(spec, 4)
     for word in sig.words(4):
-        assert tab.moment(word) == oracles.fock_moment(spec, word)
+        assert tab.moment(word) == reference.fock_moment(spec, word)
 
 
 def test_fock_table_at_its_full_degree_matches_the_oracle(rng):
@@ -132,7 +132,7 @@ def test_fock_table_at_its_full_degree_matches_the_oracle(rng):
     degree = 6
     tab = fock_distribution(spec, degree)
     for word in itertools.product(sig.letters(), repeat=degree):
-        assert tab.moment(word) == oracles.fock_moment(spec, word)
+        assert tab.moment(word) == reference.fock_moment(spec, word)
 
 
 def test_fock_walk_matches_oracle_word_by_word():
@@ -153,7 +153,7 @@ def test_fock_walk_matches_oracle_word_by_word():
                                                Letter(2, RIGHT, "b", True)) == ZERO
     tab = fock_distribution(spec, 5)
     for word in sig.words(5):
-        expected = oracles.fock_moment(spec, word)
+        expected = reference.fock_moment(spec, word)
         assert tab.moment(word) == expected
         if len(word) % 2:
             assert tab.moment(word) == ZERO
@@ -337,7 +337,7 @@ def _same_outcome(mu, degree):
     """gram_psd_check decides, witnesses and refuses as the rational
     elimination does; returns the outcome for the caller to tally."""
     try:
-        want = oracles.fraction_gram_psd_check(mu, degree)
+        want = reference.fraction_gram_psd_check(mu, degree)
     except DomainError as exc:
         with pytest.raises(DomainError) as got:
             gram_psd_check(mu, degree)
@@ -389,7 +389,7 @@ def test_hyperbolic_witness_is_scaled_by_the_pivots_before_it():
     moments[(A, A)] = qi(1, 4)
     mu = from_words(Distribution, SIG_LR, 2, moments)
     result = gram_psd_check(mu, 2)
-    assert list(result.witness.items()) == list(oracles.fraction_gram_psd_check(mu, 2)
+    assert list(result.witness.items()) == list(reference.fraction_gram_psd_check(mu, 2)
                                                 .witness.items())
     assert gram_quadratic_form(mu, result.witness).re < 0
 
@@ -445,7 +445,7 @@ def test_psd_check_prints_the_rational_witness_on_the_group_table(tmp_path, caps
     path = tmp_path / "group.dist"
     assert main(["group-example", "--orders", "2,3", "--degree", "6", "--out", str(path)]) == 0
     mu = group_example_dist([2, 3], 6)
-    want = oracles.fraction_gram_psd_check(mu, 6)
+    want = reference.fraction_gram_psd_check(mu, 6)
     expected = "".join(line + "\n" for line in ["indefinite; witness polynomial:",
                                                  *want.witness_lines()])
     assert main(["psd-check", "--in", str(path)]) == 1
