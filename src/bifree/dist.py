@@ -11,7 +11,8 @@ words with that list; `get` reads the value of one word at its rank, and
 table is built from that list alone; one of the wrong length is refused,
 naming the first missing word in graded-lex order.  `tabulate` builds the
 table of operators that act letter by letter on a state, sharing
-suffixes.
+suffixes; given which letters commute, it steps only normal forms and
+copies the other moments.
 """
 
 from __future__ import annotations
@@ -182,9 +183,30 @@ def _pullback(dist: Distribution, signature: FaceSignature, sources) -> Distribu
     return Distribution(signature, dist.degree, values)
 
 
+def commutation(letters, commute: Callable[[Letter, Letter], bool]) -> list[int]:
+    """The relation `tabulate` takes: entry i has bit j set when
+    `commute(letters[i], letters[j])`."""
+    return [sum(1 << j for j, b in enumerate(letters) if commute(a, b)) for a in letters]
+
+
+def _check_relation(commuting, size: int) -> None:
+    """Refuse a relation that is not one symmetric, irreflexive bitmask per
+    letter of an alphabet of `size` letters."""
+    if len(commuting) != size:
+        raise DomainError(f"a commutation relation of {len(commuting)} entries for "
+                          f"{size} letters")
+    for i, mask in enumerate(commuting):
+        if mask >> i & 1:
+            raise DomainError(f"letter {i} is listed as commuting with itself")
+        if mask < 0 or mask >> size or any(
+                (commuting[j] >> i & 1) != (mask >> j & 1) for j in range(size)):
+            raise DomainError(f"the commutation relation is not symmetric at letter {i}")
+
+
 def tabulate(signature: FaceSignature, degree: int, start,
              step: Callable[[Letter, object, int], object],
-             read: Callable[[object, int], GaussianRational]) -> Distribution:
+             read: Callable[[object, int], GaussianRational],
+             commuting=None) -> Distribution:
     """Distribution of the operators that act letter by letter on a state.
 
     The state of the empty word is `start` and the state of a word
@@ -194,34 +216,89 @@ def tabulate(signature: FaceSignature, degree: int, start,
     state that those letters cannot bring back to what `read` looks at.
     The moment of a word of n letters is `read(its state, n)`, and
     `read(start, 0)` must be 1, so no state carries its depth.  Words
-    sharing a suffix share the whole evaluation of that suffix, so the walk
-    costs one step per word.  The walk carries each word's rank within its
-    length, not the word: the letter of index i prepended to a word of
-    rank r among the words of length n - 1 gives rank i * L^(n-1) + r
-    among those of length n, where the list holds them from `offsets[n]`.
+    sharing a suffix share the whole evaluation of that suffix.  The walk
+    carries each word's rank within its length, not the word: the letter
+    of index i prepended to a word of rank r among the words of length
+    n - 1 gives rank i * L^(n-1) + r among those of length n, where the
+    list holds them from `offsets[n]`.
+
+    `commuting` holds one bitmask per letter of `signature.letters()`: bit
+    j of entry i says that letters i and j act as commuting operators, so
+    swapping them where adjacent keeps every moment.  The relation must be
+    symmetric and irreflexive; None, like all zeros, commutes nothing and
+    walks every word at one step each.  A word's moment then depends only
+    on its class under such swaps, and the walk steps only the classes'
+    lexicographic normal forms, their lowest-ranked words (Cartier and
+    Foata 1969; Anisimov and Knuth, "Inhomogeneous sorting", 1979).  With
+    M(u) the letters of u that commute with every letter before them, x.u
+    is a normal form iff u is one and no letter of M(u) below x commutes
+    with x; then M(x.u) = {x} + (M(u) & C[x]).  A child that fails the test
+    is a point p of length m and rank r: every word y.p is in no normal
+    form and has the moment of y.NF(p), so each length k >= m takes one
+    strided copy from the rank r' of NF(p).  Points fill longest first,
+    since the words y.NF(p) that are not normal forms lie below longer
+    points.
     """
     if degree < 1:
         raise DomainError("degree bound must be >= 1")
     check_table_size(signature, degree)
-    alphabet = tuple(enumerate(signature.letters()))
-    size = len(alphabet)
+    letters = signature.letters()
+    size = len(letters)
+    commuting = [0] * size if commuting is None else list(commuting)
+    _check_relation(commuting, size)
+    bits = [1 << i for i in range(size)]
+    # (index, letter, the letters below it that it commutes with, C[letter])
+    alphabet = tuple((i, letter, commuting[i] & (bits[i] - 1), commuting[i])
+                     for i, letter in enumerate(letters))
+    blocking = [(1 << size) - 1 & ~mask for mask in commuting]
     moments = [None] * signature.word_count(degree)
     moments[0] = read(start, 0)
     lengths = range(signature.longest(degree) + 1)
     powers = [size ** n for n in lengths]
     offsets = [signature.word_count(n - 1) for n in lengths]
+    points: list[list[int]] = [[] for _ in lengths]
 
-    def extend(state, within: int, length: int) -> None:
-        stride, offset = powers[length - 1], offsets[length]
-        for i, letter in alphabet:
-            grown = step(letter, state, degree - length)
+    def extend(state, within: int, length: int, front: int) -> None:
+        stride, offset, skipped = powers[length - 1], offsets[length], points[length]
+        for i, letter, lower, commute in alphabet:
             rank = i * stride + within
+            if front & lower:
+                skipped.append(rank)
+                continue
+            grown = step(letter, state, degree - length)
             moments[offset + rank] = read(grown, length)
             if length < degree:
-                extend(grown, rank, length + 1)
+                extend(grown, rank, length + 1, bits[i] | front & commute)
+
+    def normal_rank(rank: int, length: int) -> int:
+        """The rank of the normal form of the word of `rank` and `length`:
+        each letter in turn is the lowest that no letter left before it
+        blocks."""
+        word = []
+        for _ in range(length):
+            rank, i = divmod(rank, size)
+            word.append(i)
+        word.reverse()
+        normal = 0
+        while word:
+            seen, first, at = 0, size, 0
+            for j, i in enumerate(word):
+                if i < first and not seen & blocking[i]:
+                    first, at = i, j
+                seen |= bits[i]
+            normal = normal * size + first
+            del word[at]
+        return normal
 
     if alphabet:
-        extend(start, 0, 1)
+        extend(start, 0, 1, 0)
+    for length in reversed(lengths):
+        stride = powers[length]
+        for rank in points[length]:
+            source = normal_rank(rank, length)
+            for k in range(length, len(lengths)):
+                offset, end = offsets[k], offsets[k] + powers[k]
+                moments[offset + rank:end:stride] = moments[offset + source:end:stride]
     return Distribution(signature, degree, moments)
 
 

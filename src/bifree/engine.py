@@ -32,6 +32,12 @@ never come back to the vacuum.  Leaf words of a table walk thus keep only
 their vacuum term.  A term that cancels is not deleted: its key keeps a
 zero coefficient, which the next step skips and a read takes as zero.
 
+A left letter of one constituent and a right letter of another act as
+commuting operators: λ_i(T) and ρ_j(S) commute for i ≠ j (the paper's §2).
+`bifree_product` passes that relation to `tabulate`, which steps only the
+words' normal forms.  The convolutions pass none, since each of their
+letters acts in both constituents, and `joint_moment` walks one word.
+
 The public `TensorState` holds the same blocks as `(family, word)` pairs.
 `apply_left`/`apply_right` intern a caller's blocks into a registry of
 their own over the marginal's table as given, run the one step on
@@ -42,7 +48,7 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple, Sequence
 
-from .dist import Distribution, tabulate
+from .dist import Distribution, commutation, tabulate
 from .errors import DomainError, SignatureError, TruncationError
 from .scalars import ONE, ZERO, Dilation, GaussianRational
 from .words import (LEFT, RIGHT, FaceSignature, Letter, Word, format_word,
@@ -289,11 +295,13 @@ def _letter_steps(ctx: _EvalContext, letters, tags) -> dict:
 
 
 def _table(constituents: Sequence[Distribution], signature: FaceSignature, degree: int,
-           tags) -> Distribution:
+           tags, commuting=None) -> Distribution:
     """Moments of every word of degree <= `degree` over `signature`, each
-    letter acting as `tags` says (see `_letter_steps`)."""
+    letter acting as `tags` says (see `_letter_steps`); `commuting` is
+    `tabulate`'s relation."""
     ctx = _EvalContext(constituents)
-    return tabulate(signature, degree, *_walk(ctx, _letter_steps(ctx, signature.letters(), tags)))
+    return tabulate(signature, degree, *_walk(ctx, _letter_steps(ctx, signature.letters(), tags)),
+                    commuting)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +365,12 @@ def bifree_product(marginals: Sequence[Distribution], degree: int) -> Distributi
     Each input distribution is one constituent of the free product; its
     internal (possibly multi-family) structure is preserved verbatim, so
     grouping constituents first and multiplying later gives the same result.
+
+    A left letter of one constituent and a right letter of another act as
+    commuting operators: λ_i(T) and ρ_j(S) commute for i ≠ j (Voiculescu,
+    "Free probability for pairs of faces I", §2).  The walk passes that
+    relation to `tabulate`, so it steps only the normal forms of the words
+    and copies every other moment; `check_bifree`'s prediction inherits it.
     """
     for dist in marginals:
         if dist.degree < degree:
@@ -366,7 +380,10 @@ def bifree_product(marginals: Sequence[Distribution], degree: int) -> Distributi
     signature = union_signatures([d.signature for d in marginals])
     tag_of = {fam.family: i for i, dist in enumerate(marginals)
               for fam in dist.signature.families}
-    return _table(marginals, signature, degree, lambda letter: ((tag_of[letter.family],),))
+    commuting = commutation(signature.letters(), lambda a, b: a.side != b.side
+                            and tag_of[a.family] != tag_of[b.family])
+    return _table(marginals, signature, degree, lambda letter: ((tag_of[letter.family],),),
+                  commuting)
 
 
 class BifreenessReport(NamedTuple):

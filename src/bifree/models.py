@@ -17,7 +17,8 @@ from functools import partial
 from typing import Callable, Mapping, NamedTuple
 
 from .cumulant import moments_from_cumulants
-from .dist import CumulantTable, Distribution, check_size, check_table_size, tabulate
+from .dist import (CumulantTable, Distribution, check_size, check_table_size, commutation,
+                   tabulate)
 from .errors import DomainError, TruncationError
 from .scalars import ONE, ZERO, Dilation, GaussianRational, format_scalar
 from .words import (LEFT, FaceSignature, FamilyFaces, Letter, Record, Word,
@@ -354,7 +355,10 @@ def group_example_dist(orders, degree: int) -> Distribution:
 
     The moment of a word is 1 exactly when the corresponding product of
     translations fixes the identity, which is decided by reduced-word
-    arithmetic in the free product.
+    arithmetic in the free product.  Left and right multiplications commute,
+    g(xh) = (gx)h: the left and right regular representations are the
+    commuting faces of the paper's §2.  So the walk passes every (left,
+    right) pair of letters to `tabulate` and steps only normal forms.
     """
     orders = list(orders)
     if not orders or any(m < 2 for m in orders):
@@ -375,4 +379,5 @@ def group_example_dist(orders, degree: int) -> Distribution:
         return element + ((g, 1),)
 
     return tabulate(signature, degree, (), step,
-                    lambda element, n: ZERO if element else ONE)
+                    lambda element, n: ZERO if element else ONE,
+                    commutation(signature.letters(), lambda a, b: a.side != b.side))

@@ -14,6 +14,8 @@ its tagged words, sharing nothing with the library's cumulant scaling but
 `bifree_product`.  The Fock realization applies creation and annihilation
 operators to tensors of coordinate vectors, one word at a time, sharing
 nothing with the library's Fock walk but `VectorSpec.operator_vectors`.
+The group example's moments reduce each word's product of translations on
+a stack, one word at a time, sharing nothing with the library's walk.
 The Gram positivity check eliminates over the rationals, where the library
 eliminates fraction-free on the dilated integers; the two share only the
 involution and the witness's self-check `gram_quadratic_form`.  The
@@ -94,29 +96,26 @@ def naive_joint_moment(marginals, word):
     return total
 
 
-def set_partitions(n):
-    if n == 0:
-        yield ()
-        return
-    for rest in set_partitions(n - 1):
-        yield rest + ((n - 1,),)
-        for i, block in enumerate(rest):
-            yield rest[:i] + (block + (n - 1,),) + rest[i + 1 :]
-
-
 @lru_cache(maxsize=None)
-def noncrossing_partitions(n):
-    def crossing(partition):
-        owner = {}
-        for b, block in enumerate(partition):
-            for x in block:
-                owner[x] = b
-        for a, b, c, d in itertools.combinations(range(n), 4):
-            if owner[a] == owner[c] != owner[b] == owner[d]:
-                return True
-        return False
+def _noncrossing_between(lo, hi):
+    """The non-crossing partitions of range(lo, hi), by their first block:
+    lo with any later points, each gap between two of them, and the tail
+    after the last, partitioned on its own."""
+    if lo == hi:
+        return ((),)
+    out = []
+    for count in range(hi - lo):
+        for others in itertools.combinations(range(lo + 1, hi), count):
+            block = (lo,) + others
+            gaps = [_noncrossing_between(a + 1, b) for a, b in zip(block, block[1:] + (hi,))]
+            for parts in itertools.product(*gaps):
+                out.append((block,) + tuple(itertools.chain.from_iterable(parts)))
+    return tuple(out)
 
-    return tuple(p for p in set_partitions(n) if not crossing(p))
+
+def noncrossing_partitions(n):
+    """The non-crossing partitions of range(n), each a tuple of blocks."""
+    return _noncrossing_between(0, n)
 
 
 def free_product_moment(marginals, word):
@@ -203,11 +202,12 @@ def _boxtimes_cumulant(kappas, word, right_order):
     m = len(letters)
     s_chi = ([p for p in range(m) if letters[p].side == LEFT]
              + [p for p in reversed(range(m)) if letters[p].side != LEFT])
+    copy_at = [copy[p] for p in s_chi]  # the copy at each s_chi position
     total = ZERO
     for partition in noncrossing_partitions(m):
-        blocks = [sorted(s_chi[i] for i in block) for block in partition]
-        if any(len({copy[p] for p in block}) > 1 for block in blocks):
+        if any(len({copy_at[i] for i in block}) > 1 for block in partition):
             continue
+        blocks = [sorted(s_chi[i] for i in block) for block in partition]
         if not _joins_to_one(blocks, len(word)):
             continue
         term = ONE
@@ -614,6 +614,26 @@ def s_transform(dist: Distribution, a: Letter, b: Letter, order: int):
 
 # ---------------------------------------------------------------------------
 # Tables as word-keyed dicts
+
+
+def group_moment(orders, word) -> GaussianRational:
+    """The moment of `word` in `models.group_example_dist(orders, ...)`, one
+    word at a time: 1 when the translations fix the identity of
+    Z/m_1 * ... * Z/m_k, else 0.  The word's operators send e to the
+    product of its left generators in word order times its right
+    generators in reverse order; that product is reduced on a stack of
+    (generator, exponent) syllables."""
+    lefts = [l.family - 1 for l in word if l.side == LEFT]
+    rights = [l.family - 1 for l in reversed(word) if l.side != LEFT]
+    stack = []
+    for g in lefts + rights:
+        if stack and stack[-1][0] == g:
+            e = (stack.pop()[1] + 1) % orders[g]
+            if e:
+                stack.append((g, e))
+        else:
+            stack.append((g, 1))
+    return ZERO if stack else ONE
 
 
 def by_word(table) -> dict:

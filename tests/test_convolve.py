@@ -129,9 +129,10 @@ def test_s_transform_of_boxtimes_is_the_product_of_the_s_transforms(rng):
 
 
 def test_noncrossing_partitions_are_counted_by_the_catalan_numbers():
-    for n in range(9):
+    for n in range(11):
         partitions = noncrossing_partitions(n)
         assert len(partitions) == comb(2 * n, n) // (n + 1)
+        assert len({frozenset(partition) for partition in partitions}) == len(partitions)
         assert all(block for partition in partitions for block in partition)
         assert all(sorted(itertools.chain(*partition)) == list(range(n))
                    for partition in partitions)
@@ -147,6 +148,13 @@ def test_boxtimes_cumulants_are_products_as_entries(rng, left, with_imag):
     # the additive convolution, each differ from the oracle
     assert boxtimes_cumulants(mu, nu, 4, right_order=(1, 0)) != oracle
     assert by_word(cumulants_from_moments(boxplus2(mu, nu, 4), 4)) != oracle
+
+
+def test_boxtimes_cumulants_at_degree_5_on_complex_tables(rng):
+    sig = two_faced(left=("a",), right=("c",), family=1)
+    mu, nu = (rand_dist(sig, 5, rng, with_imag=True) for _ in range(2))
+    assert by_word(cumulants_from_moments(boxtimes2(mu, nu, 5), 5)) == boxtimes_cumulants(
+        mu, nu, 5)
 
 
 def test_multiplicative_example_single_left_variable():
