@@ -273,7 +273,10 @@ def tabulate(signature: FaceSignature, degree: int, start,
     def normal_rank(rank: int, length: int) -> int:
         """The rank of the normal form of the word of `rank` and `length`:
         each letter in turn is the lowest that no letter left before it
-        blocks."""
+        blocks.  It is not the normal form of the word's tail with the
+        first letter inserted: with letters 0 < 1 < 2, 0 commuting with 1
+        and 1 with 2, NF(2 0 1) is 1 2 0, while inserting 2 into NF(0 1)
+        gives 2 0 1."""
         word = []
         for _ in range(length):
             rank, i = divmod(rank, size)

@@ -15,12 +15,21 @@ writer refuses a family whose face headers the reader's own header code
 does not read back as that family.  A writer joins its lines a block of
 `_WRITE_BLOCK` lines at a time and, given a `write` callable, hands it
 each block instead of returning the text, so a large table is never held
-as one list of lines nor, by the command line, as one string.
+as one list of lines nor, by the command line, as one string.  It formats
+the values a block at a time as well, and when an object repeats among a
+block's first values, it formats each distinct object of the block once:
+a table filled from normal forms shares one object among the words of a
+class.
 Reading takes that order at its fastest: a table's value list is
-allocated with one slot per word, and a key that is the canonical text of
-the first word still unread fills that word's slot without being parsed.
-Any other key is parsed into a word and fills the slot of its rank, so a
-body in any order reads to the same table, with the same errors.
+allocated with one slot per word, and the body is read a block of lines
+at a time.  A block whose lines are the canonical texts of the next
+unfilled words, in order, each followed by " : " and a scalar, fills
+those slots at once, each distinct scalar text parsed once.  Any other
+block is read line by line: a key that is the canonical text of the
+first word still unread fills that word's slot without being parsed, and
+any other key is parsed into a word and fills the slot of its rank.  So a
+body in any order reads to the same table, with the same errors and line
+numbers.
 
     # family 1 left: a b
     # family 1 right: c
@@ -135,17 +144,23 @@ class _HeaderState:
 
 _LINE_BLOCK = 1 << 16
 _WRITE_BLOCK = 1 << 10  # lines a writer joins into one string at a time
+_PROBE = 32  # values of a block a writer looks at for a repeated object
+# what the lines of a block are joined with before the block is split at
+# " : ": lines hold no "\n", so a "\n" part between each two lines pins
+# every line to exactly one " : "
+_LINE_JOIN = " : \n : "
 
 
-def _split_lines(text: str):
-    """`text.splitlines()`, a block of about `_LINE_BLOCK` characters at a
-    time, so that no list of every line of a large file is held.  A block
-    ends just after a newline, where every line break ends and none begins."""
+def _line_blocks(text: str):
+    """`text.splitlines()` as lists of lines of about `_LINE_BLOCK`
+    characters, so that no list of every line of a large file is held.  A
+    block ends just after a newline, where every line break ends and none
+    begins."""
     start = 0
     while start < len(text):
         end = text.find("\n", start + _LINE_BLOCK)
         end = len(text) if end < 0 else end + 1
-        yield from text[start:end].splitlines()
+        yield text[start:end].splitlines()
         start = end
 
 
@@ -154,26 +169,31 @@ def _parse_lines(text: str, header: _HeaderState):
 
     A generator.  Header lines go to `header`.  Once the headers are
     complete, at the first body line (or at the end of a file without
-    one), it yields the signature, then `(lineno, line)` for each body
-    line, stripped.  A covariance or vector file whose headers declare a
-    letter but that has no body lines is refused, and so, once the body is
-    read, is a `# kind:` other than the one `header` expects.
+    one), it yields the signature, then `(lineno, lines)` for each block of
+    body lines: the lines as `_line_blocks` splits them, not stripped, and
+    the number of the first.  `_body_lines` reads a block line by line.  A
+    covariance or vector file whose headers declare a letter but that has
+    no body lines is refused, and so, once the body is read, is a
+    `# kind:` other than the one `header` expects.
     """
     signature = None
     lineno = 0
-    for lineno, raw in enumerate(_split_lines(text), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if signature is not None:
-                raise ParseError("header line after table entries", lineno)
-            header.feed(line, lineno)
-            continue
-        if signature is None:
-            signature = header.signature(lineno)
-            yield signature
-        yield lineno, line
+    for lines in _line_blocks(text):
+        if signature is not None:
+            yield lineno + 1, lines
+        else:
+            for at, raw in enumerate(lines):
+                line = raw.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    header.feed(line, lineno + at + 1)
+                    continue
+                signature = header.signature(lineno + at + 1)
+                yield signature
+                yield lineno + at + 1, lines[at:]
+                break
+        lineno += len(lines)
     kind = header.expected_kind
     if signature is None:
         if header.number_name != "degree" and any(
@@ -184,6 +204,18 @@ def _parse_lines(text: str, header: _HeaderState):
     # a cumulant table must say so: a moment table has the same body lines
     if (header.kind or ("moments" if kind == "cumulants" else kind)) != kind:
         raise ParseError(f"expected a {kind} table, got kind {header.kind!r}")
+
+
+def _body_lines(lineno: int, lines: list[str]):
+    """`(lineno, line)` for each body line of a block from `_parse_lines`,
+    stripped; blank lines are skipped and a header line is refused."""
+    for lineno, raw in enumerate(lines, start=lineno):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            raise ParseError("header line after table entries", lineno)
+        yield lineno, line
 
 
 def _parse_letter(text: str, signature: FaceSignature, lineno: int) -> Letter:
@@ -232,49 +264,113 @@ def _parse_word(text: str, signature: FaceSignature, lineno: int,
     return tuple(map(letters.__getitem__, tokens))
 
 
+class _KeyTexts:
+    """The key texts of a table's slots, rank by rank, pulled from
+    `_word_texts` a block at a time, so that no list of every key text of a
+    large table is held."""
+
+    def __init__(self, texts):
+        self._texts = texts
+        self._held: list[str] = []  # the texts of slots `_base`, `_base` + 1, ...
+        self._base = 0
+
+    def slots(self, first: int, count: int) -> list[str]:
+        """The texts of slots `first` to `first` + `count` - 1, fewer past
+        the last slot.  No slot below `first` is asked for again."""
+        held, at = self._held, first - self._base
+        if at + count > len(held):
+            if at > len(held):  # pass over the slots between
+                next(itertools.islice(self._texts, at - len(held), at - len(held)), None)
+            held = held[at:]
+            held += itertools.islice(self._texts, count - len(held))
+            self._held, self._base, at = held, first, 0
+        return held[at:at + count]
+
+    def text(self, slot: int) -> str | None:
+        """The text of `slot`, None past the last slot."""
+        texts = self.slots(slot, 1)
+        return texts[0] if texts else None
+
+
+def _block_scalars(texts: list[str], scalars: dict[str, GaussianRational]):
+    """The values of the scalar `texts`, or None if one does not parse.
+    `scalars` maps texts that parsed to their values; each text missing
+    from it is parsed once and stored."""
+    try:
+        return list(map(scalars.__getitem__, texts))
+    except KeyError:
+        pass
+    try:
+        for text in set(texts).difference(scalars):
+            scalars[text] = parse_scalar(text)
+    except ParseError:
+        return None
+    return list(map(scalars.__getitem__, texts))
+
+
 def _parse_table(text: str, kind: str, number: str | None):
     """(signature, degree, values) of a moment, cumulant or covariance file;
     the degree of a covariance file is 2 and `values` lists the scalar of
     every word of the kind's lengths up to it, in graded-lex order.
 
     `values` is allocated before the body is read, one slot per rank.  A
-    key spelled as `_word_texts` spells the word of the first unfilled slot
+    block of body lines is joined with `_LINE_JOIN` and split once at
+    " : ".  If that gives, line by line, the key text `_word_texts` spells
+    for the next unfilled slots, all still unfilled, and a scalar that
+    parses, the block fills those slots at once.  Any other block is read
+    line by line: a key spelled as the word of the first unfilled slot
     fills that slot without being parsed; any other key is read by
-    `_parse_word` and fills the slot of its word's rank.
+    `_parse_word` and fills the slot of its word's rank.  Both ways fill
+    the same slots with equal values, and only the second raises errors.
     """
     header = _HeaderState(kind, number)
-    lines = _parse_lines(text, header)
-    signature = next(lines)
+    blocks = _parse_lines(text, header)
+    signature = next(blocks)
     degree = 2 if number is None else header.number
     check_table_size(signature, degree)
     shortest = _SHORTEST[kind]
     skip = signature.word_count(shortest - 1)
     values: list[GaussianRational | None] = [None] * (signature.word_count(degree) - skip)
-    texts = itertools.islice(_word_texts(signature, degree), skip, None)
-    first, expected = 0, next(texts, None)  # the first unfilled slot and its key text
+    keys = _KeyTexts(itertools.islice(_word_texts(signature, degree), skip, None))
+    first, expected = 0, keys.text(0)  # the first unfilled slot and its key text
     letters: dict[str, Letter] = {}
     # like `letters`, for scalar texts: only texts that parsed are stored
     scalars: dict[str, GaussianRational] = {}
-    for lineno, line in lines:
-        word_text, colon, scalar_text = line.rpartition(":")
-        if word_text.rstrip() == expected:
-            slot = first
-        else:
-            if not colon:
-                raise ParseError("expected 'WORD : SCALAR'", lineno)
-            word = _parse_word(word_text, signature, lineno, letters)
-            if not shortest <= len(word) <= degree:
-                error, message = _OUT_OF_RANGE[kind]
-                raise error(message.format(format_word(word)))
-            slot = signature.rank(word) - skip
-        value = scalars.get(scalar_text)
-        if value is None:
-            value = scalars[scalar_text] = _parse_scalar(scalar_text, lineno)
-        if values[slot] is not None:  # never the first unfilled slot
-            raise ParseError(f"duplicate entry for word {format_word(word)}", lineno)
-        values[slot] = value
-        while expected is not None and values[first] is not None:
-            first, expected = first + 1, next(texts, None)
+    for start, lines in blocks:
+        count = len(lines)
+        parts = _LINE_JOIN.join(lines).split(" : ")
+        if (len(parts) == 3 * count - 1 and parts[0::3] == keys.slots(first, count)
+                and parts[2::3] == ["\n"] * (count - 1)
+                and values[first:first + count].count(None) == count
+                and (block := _block_scalars(parts[1::3], scalars)) is not None):
+            values[first:first + count] = block
+            first += count
+            expected = keys.text(first)
+            while expected is not None and values[first] is not None:
+                first += 1
+                expected = keys.text(first)
+            continue
+        for lineno, line in _body_lines(start, lines):
+            word_text, colon, scalar_text = line.rpartition(":")
+            if word_text.rstrip() == expected:
+                slot = first
+            else:
+                if not colon:
+                    raise ParseError("expected 'WORD : SCALAR'", lineno)
+                word = _parse_word(word_text, signature, lineno, letters)
+                if not shortest <= len(word) <= degree:
+                    error, message = _OUT_OF_RANGE[kind]
+                    raise error(message.format(format_word(word)))
+                slot = signature.rank(word) - skip
+            value = scalars.get(scalar_text)
+            if value is None:
+                value = scalars[scalar_text] = _parse_scalar(scalar_text, lineno)
+            if values[slot] is not None:  # never the first unfilled slot
+                raise ParseError(f"duplicate entry for word {format_word(word)}", lineno)
+            values[slot] = value
+            while expected is not None and values[first] is not None:
+                first += 1
+                expected = keys.text(first)
     if expected is not None:
         raise IncompleteTableError(expected)
     return signature, degree, values
@@ -344,12 +440,20 @@ def _emit_headers(signature: FaceSignature, kind: str | None, *extra: str) -> li
 def _word_texts(signature: FaceSignature, degree: int):
     """format_word of every word up to `degree`, in emission order.
     `FaceSignature.words` lists the words of each length as a power of the
-    alphabet, so the texts are the same power of the letter texts, each
-    letter formatted once."""
-    texts = [format_letter(letter) for letter in signature.letters()]
-    powers = (map(" ".join, itertools.product(texts, repeat=n))
-              for n in range(1, signature.longest(degree) + 1))
-    return itertools.chain(["()"], itertools.chain.from_iterable(powers))
+    alphabet, so the texts of length n > 1 are those of its first
+    n - n // 2 letters times those of its last n // 2: one join of two
+    texts per word, each letter formatted once."""
+    letters = [format_letter(letter) for letter in signature.letters()]
+
+    def power(n: int):
+        return map(" ".join, itertools.product(letters, repeat=n))
+
+    def lengths():
+        yield ["()"]
+        for n in range(1, signature.longest(degree) + 1):
+            yield power(1) if n == 1 else map(
+                " ".join, itertools.product(power(n - n // 2), power(n // 2)))
+    return itertools.chain.from_iterable(lengths())
 
 
 def join_lines(lines, write=None) -> str:
@@ -367,6 +471,29 @@ def join_lines(lines, write=None) -> str:
     return "".join(blocks)
 
 
+def _scalar_texts(values: list):
+    """format_scalar of each of `values`.  If an object repeats among the
+    first `_PROBE` of them, as where equal moments share one object, each
+    distinct object is formatted once, keyed by its id while `values`
+    keeps it alive; if none does, no id is taken beyond those."""
+    probe = values[:_PROBE]
+    if len(set(map(id, probe))) == len(probe):
+        return map(format_scalar, values)
+    ids = list(map(id, values))
+    objects = dict(zip(ids, values))
+    texts = dict(zip(objects, map(format_scalar, objects.values())))
+    return map(texts.__getitem__, ids)
+
+
+def _table_lines(texts, values):
+    """'WORD : SCALAR' for each of `values` and its word text from `texts`,
+    one iterator per block of `_WRITE_BLOCK` values."""
+    values = iter(values)
+    while block := list(itertools.islice(values, _WRITE_BLOCK)):
+        # zip(texts, ...) would pull one word text past the block's last
+        yield map(" : ".join, zip(itertools.islice(texts, len(block)), _scalar_texts(block)))
+
+
 def _format_table(headers: list[str], signature: FaceSignature, degree: int,
                   values, shortest: int, write) -> str:
     """The `headers`, then 'WORD : SCALAR' for every word of length
@@ -375,7 +502,7 @@ def _format_table(headers: list[str], signature: FaceSignature, degree: int,
     # words come in graded order, so the shorter ones come first
     texts = itertools.islice(_word_texts(signature, degree), signature.word_count(shortest - 1),
                              None)
-    body = (f"{text} : {format_scalar(value)}" for text, value in zip(texts, values))
+    body = itertools.chain.from_iterable(_table_lines(texts, values))
     return join_lines(itertools.chain(headers, body), write)
 
 
@@ -411,12 +538,12 @@ def format_vector_spec(spec: VectorSpec) -> str:
 
 def parse_vector_spec(text: str) -> VectorSpec:
     header = _HeaderState("vectors", "dim")
-    lines = _parse_lines(text, header)
-    signature = next(lines)
+    blocks = _parse_lines(text, header)
+    signature = next(blocks)
     h: dict = {}
     h_star: dict = {}
     letters: dict[str, Letter] = {}
-    for lineno, line in lines:
+    for lineno, line in itertools.chain.from_iterable(itertools.starmap(_body_lines, blocks)):
         key_text, colon, values_text = line.rpartition(":")
         if not colon:
             raise ParseError("expected 'LETTER[*] : v1 v2 ...'", lineno)

@@ -313,7 +313,8 @@ def test_lines_split_in_blocks_are_the_lines_of_the_text():
         for block in range(len(text) + 2):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(bifree_io, "_LINE_BLOCK", block)
-                assert list(bifree_io._split_lines(text + tail)) == (text + tail).splitlines()
+                blocks = bifree_io._line_blocks(text + tail)
+                assert list(itertools.chain.from_iterable(blocks)) == (text + tail).splitlines()
 
 
 def _lines_text(lines) -> str:
@@ -351,8 +352,19 @@ def test_writers_give_the_lines_of_the_table_across_block_boundaries(block, rng,
         clt_text = _lines_text(["word,N,moment,gaussian,error,abs_error"] + [
             f'"{format_word(r.word)}",4,"{r.moment}","{r.gaussian}","{r.error}",'
             f"{decimal_magnitude(r.error)}" for r in rows])
+        # one object shared across blocks among distinct ones; equal values
+        # in distinct objects
+        shared = rand_scalar(rng, True)
+        sharing = [shared if i % 3 else rand_scalar(rng, True) for i in range(len(words))]
+        distinct = [qi(1)] + [qi(i % 2, 3) for i in range(1, len(words))]
+        sharing[0] = distinct[0]
+        assert len(set(map(id, distinct))) == len(words)
         cases += [
             ("moments", _table_reference(head, words, dist.ranked), format_distribution, (dist,)),
+            ("shared", _table_reference(head, words, sharing), format_distribution,
+             (Distribution(one, degree, sharing),)),
+            ("distinct", _table_reference(head, words, distinct), format_distribution,
+             (Distribution(one, degree, distinct),)),
             ("cumulants", _table_reference(head + ["# kind: cumulants"], words[1:], cum.ranked),
              format_cumulant_table, (cum,)),
             ("csv", _csv_reference(dist), bifree_cli._dist_output, (dist, "csv")),
@@ -383,6 +395,25 @@ def test_writers_give_the_lines_of_the_table_across_block_boundaries(block, rng,
     # each kind ran just below, at and just above a block boundary past the first block
     for counts in line_counts.values():
         assert any({m - 1, m, m + 1} <= counts for m in range(2 * block, max(counts), block))
+
+
+def test_a_writer_formats_each_value_object_once_a_block(monkeypatch):
+    monkeypatch.setattr(bifree_io, "_WRITE_BLOCK", 4)
+    formatted = []
+    monkeypatch.setattr(bifree_io, "format_scalar",
+                        lambda value: formatted.append(value) or format_scalar(value))
+    one = two_faced(left=("a",), family=1)
+    head = ["# family 1 left: a", "# star: no", "# degree: 9"]
+    x, y = qi(1), qi(1)  # equal values, two objects
+    values = [x, y] * 5  # blocks of 4, 4 and 2 values
+    assert format_distribution(Distribution(one, 9, values)) == _table_reference(
+        head, one.words(9), values)
+    assert list(map(id, formatted)) == [id(x), id(y)] * 3
+    formatted.clear()
+    values = [qi(1) for _ in range(10)]
+    assert format_distribution(Distribution(one, 9, values)) == _table_reference(
+        head, one.words(9), values)
+    assert list(map(id, formatted)) == list(map(id, values))
 
 
 def test_a_table_handed_to_write_peaks_near_the_size_of_its_text():
@@ -551,19 +582,67 @@ def _mutate(kind, trigger, k):
     elif trigger == "scalar":
         body[k] = f"{key} : 1//2"
         error = ParseError, f"line {lineno}: malformed scalar '1//2'"
-    else:  # no colon
+    elif trigger == "colon":
         body[k] = key
         error = ParseError, f"line {lineno}: expected 'WORD : SCALAR'"
+    elif trigger == "blank":
+        body.insert(k, "")
+        error = None
+    elif trigger == "crlf":
+        body[k] += "\r"
+        error = None
+    elif trigger == "trailing":
+        body[k] += " \t "
+        error = None
+    elif trigger in _BREAKS:
+        # a line break of splitlines' own after line k adds an empty line,
+        # and the last scalar is malformed: its line number counts that line
+        bad = body[-1].rpartition(" : ")[0] + " : 1//2"
+        body[-1] = bad
+        body[k] += _BREAKS[trigger]
+        lineno = ("\n".join(headers + body) + "\n").splitlines().index(bad) + 1
+        error = ParseError, f"line {lineno}: malformed scalar '1//2'"
+    elif trigger == "refilled":
+        earliest = body[0].rpartition(" : ")[0]
+        body[k] = f"{earliest} : 1"
+        error = ParseError, f"line {lineno}: duplicate entry for word {earliest}"
+    elif trigger == "comment":
+        body.insert(k, "# star: no")
+        error = ParseError, f"line {lineno}: header line after table entries"
+    elif trigger == "ahead":  # line k read before line 0 as well
+        body.insert(0, body[k])
+        error = ParseError, f"line {lineno + 1}: duplicate entry for word {key}"
+    elif trigger == "colons":
+        body[k] += " :"
+        error = ParseError, f"line {lineno}: malformed letter {'()' if key == '()' else ':'!r}"
+    else:  # misaligned: line k holds " : " twice and line k + 1 not at all
+        body[k] = f"{key} : 1 : {body[k + 1].rpartition(' : ')[0]}"
+        body[k + 1] = "1"
+        error = ParseError, f"line {lineno}: malformed letter {'()' if key == '()' else ':'!r}"
     return "\n".join(headers + body) + "\n", error
 
 
+_BREAKS = {"formfeed": "\x0c", "separator": "\u2028"}
+# the body lines (0-based) each trigger is put at: every line, but for those
+# that need a line before or after theirs
+_FIRST = {"duplicate": 1, "refilled": 1, "comment": 1, "ahead": 1}
+_PAST_LAST = {"misaligned": -1}
+
+
+# _LINE_BLOCK 0 reads each line as a block of its own, 20 about two lines a
+# block, the default the whole text as one
+@pytest.mark.parametrize("block", [0, 20, bifree_io._LINE_BLOCK])
 @pytest.mark.parametrize("kind", sorted(_ORDER_TEXTS))
 @pytest.mark.parametrize("trigger", ["shuffled", "spaced", "duplicate", "missing", "extra",
-                                     "undeclared", "scalar", "colon"])
-def test_every_line_that_leaves_the_emission_order_falls_back_with_its_error(kind, trigger):
+                                     "undeclared", "scalar", "colon", "blank", "crlf",
+                                     "trailing", *_BREAKS, "refilled", "comment", "ahead",
+                                     "colons", "misaligned"])
+def test_every_line_that_leaves_the_emission_order_falls_back_with_its_error(
+        kind, trigger, block, monkeypatch):
+    monkeypatch.setattr(bifree_io, "_LINE_BLOCK", block)
     parse = _ORDER_PARSERS[kind]
     table = parse(_ORDER_TEXTS[kind])
-    for k in range(1 if trigger == "duplicate" else 0, len(_split(kind)[1])):
+    for k in range(_FIRST.get(trigger, 0), len(_split(kind)[1]) + _PAST_LAST.get(trigger, 0)):
         text, error = _mutate(kind, trigger, k)
         if error is None:
             assert parse(text) == table
@@ -590,9 +669,27 @@ def test_the_parser_fills_one_rank_list_from_a_body_in_any_order():
         bifree_io._parse_table(cut, "moments", "degree")
 
 
+def test_a_body_in_emission_order_is_never_read_line_by_line(monkeypatch):
+    read = []
+    body_lines = bifree_io._body_lines
+    monkeypatch.setattr(bifree_io, "_body_lines",
+                        lambda lineno, lines: read.append(lineno) or body_lines(lineno, lines))
+    monkeypatch.setattr(bifree_io, "_LINE_BLOCK", 100)
+    dist = group_example_dist([2, 3], 4)
+    text = format_distribution(dist)
+    assert parse_distribution(text) == dist and read == []
+    # the one or two blocks that hold two swapped lines are read line by
+    # line, the other blocks (about 50) not
+    lines = text.splitlines()
+    lines[100], lines[101] = lines[101], lines[100]
+    assert parse_distribution("\n".join(lines) + "\n") == dist
+    assert 1 <= len(read) <= 2
+
+
+@pytest.mark.parametrize("block", [0, 30, bifree_io._LINE_BLOCK])
 @given(sig=_star_closed_signatures(), scalars=st.lists(_SCALARS, min_size=1, max_size=7),
        data=st.data())
-def test_in_order_and_shuffled_bodies_parse_to_one_table(sig, scalars, data):
+def test_in_order_and_shuffled_bodies_parse_to_one_table(block, sig, scalars, data):
     for kind in ("moments", "cumulants", "covariance"):
         build, format_, parse = _KINDS[kind]
         table = build(sig, itertools.cycle(scalars), 1)
@@ -601,8 +698,10 @@ def test_in_order_and_shuffled_bodies_parse_to_one_table(sig, scalars, data):
         body = lines[len(headers):]
         k = data.draw(st.integers(0, len(body)))
         rest = data.draw(st.permutations(body[k:]))
-        assert parse(format_(table)) == table
-        assert parse("\n".join(headers + body[:k] + rest) + "\n") == table
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bifree_io, "_LINE_BLOCK", block)
+            assert parse(format_(table)) == table
+            assert parse("\n".join(headers + body[:k] + rest) + "\n") == table
 
 
 def test_an_oversize_degree_header_is_refused_before_the_body(monkeypatch, tmp_path, capsys):
