@@ -22,14 +22,12 @@ a table filled from normal forms shares one object among the words of a
 class.
 Reading takes that order at its fastest: a table's value list is
 allocated with one slot per word, and the body is read a block of lines
-at a time.  A block whose lines are the canonical texts of the next
-unfilled words, in order, each followed by " : " and a scalar, fills
-those slots at once, each distinct scalar text parsed once.  Any other
-block is read line by line: a key that is the canonical text of the
-first word still unread fills that word's slot without being parsed, and
-any other key is parsed into a word and fills the slot of its rank.  So a
-body in any order reads to the same table, with the same errors and line
-numbers.
+at a time.  A slot is filled one of two ways.  A block whose lines are
+the canonical texts of the next unfilled words, in order, each followed
+by " : " and a scalar, fills those slots at once, each distinct scalar
+text parsed once.  Any other block is read line by line: each key is
+parsed into a word and fills the slot of its rank.  So a body in any
+order reads to the same table, with the same errors and line numbers.
 
     # family 1 left: a b
     # family 1 right: c
@@ -286,11 +284,6 @@ class _KeyTexts:
             self._held, self._base, at = held, first, 0
         return held[at:at + count]
 
-    def text(self, slot: int) -> str | None:
-        """The text of `slot`, None past the last slot."""
-        texts = self.slots(slot, 1)
-        return texts[0] if texts else None
-
 
 def _block_scalars(texts: list[str], scalars: dict[str, GaussianRational]):
     """The values of the scalar `texts`, or None if one does not parse.
@@ -318,10 +311,10 @@ def _parse_table(text: str, kind: str, number: str | None):
     " : ".  If that gives, line by line, the key text `_word_texts` spells
     for the next unfilled slots, all still unfilled, and a scalar that
     parses, the block fills those slots at once.  Any other block is read
-    line by line: a key spelled as the word of the first unfilled slot
-    fills that slot without being parsed; any other key is read by
-    `_parse_word` and fills the slot of its word's rank.  Both ways fill
-    the same slots with equal values, and only the second raises errors.
+    line by line: each key is read by `_parse_word` and fills the slot of
+    its word's rank.  Both ways fill the same slots with equal values, and
+    only the second raises errors.  After each block the first unfilled
+    slot moves past every slot filled so far.
     """
     header = _HeaderState(kind, number)
     blocks = _parse_lines(text, header)
@@ -332,7 +325,7 @@ def _parse_table(text: str, kind: str, number: str | None):
     skip = signature.word_count(shortest - 1)
     values: list[GaussianRational | None] = [None] * (signature.word_count(degree) - skip)
     keys = _KeyTexts(itertools.islice(_word_texts(signature, degree), skip, None))
-    first, expected = 0, keys.text(0)  # the first unfilled slot and its key text
+    first = 0  # the first unfilled slot
     letters: dict[str, Letter] = {}
     # like `letters`, for scalar texts: only texts that parsed are stored
     scalars: dict[str, GaussianRational] = {}
@@ -345,16 +338,9 @@ def _parse_table(text: str, kind: str, number: str | None):
                 and (block := _block_scalars(parts[1::3], scalars)) is not None):
             values[first:first + count] = block
             first += count
-            expected = keys.text(first)
-            while expected is not None and values[first] is not None:
-                first += 1
-                expected = keys.text(first)
-            continue
-        for lineno, line in _body_lines(start, lines):
-            word_text, colon, scalar_text = line.rpartition(":")
-            if word_text.rstrip() == expected:
-                slot = first
-            else:
+        else:
+            for lineno, line in _body_lines(start, lines):
+                word_text, colon, scalar_text = line.rpartition(":")
                 if not colon:
                     raise ParseError("expected 'WORD : SCALAR'", lineno)
                 word = _parse_word(word_text, signature, lineno, letters)
@@ -362,17 +348,16 @@ def _parse_table(text: str, kind: str, number: str | None):
                     error, message = _OUT_OF_RANGE[kind]
                     raise error(message.format(format_word(word)))
                 slot = signature.rank(word) - skip
-            value = scalars.get(scalar_text)
-            if value is None:
-                value = scalars[scalar_text] = _parse_scalar(scalar_text, lineno)
-            if values[slot] is not None:  # never the first unfilled slot
-                raise ParseError(f"duplicate entry for word {format_word(word)}", lineno)
-            values[slot] = value
-            while expected is not None and values[first] is not None:
-                first += 1
-                expected = keys.text(first)
-    if expected is not None:
-        raise IncompleteTableError(expected)
+                value = scalars.get(scalar_text)
+                if value is None:
+                    value = scalars[scalar_text] = _parse_scalar(scalar_text, lineno)
+                if values[slot] is not None:
+                    raise ParseError(f"duplicate entry for word {format_word(word)}", lineno)
+                values[slot] = value
+        while first < len(values) and values[first] is not None:
+            first += 1
+    if first < len(values):
+        raise IncompleteTableError(keys.slots(first, 1)[0])
     return signature, degree, values
 
 

@@ -327,12 +327,9 @@ def gram_psd_check(mu: Distribution, degree: int) -> PsdResult:
         for i in active:
             row = gram[i]
             c = row[pivot]
-            if c:
+            if c or top != prev:
                 for j in columns:
                     row[j] = (row[j] * d - c * rp[j]) // prev
-            elif top != prev:
-                for j in active:
-                    row[j] = row[j] * d // prev
         prev = top
     return PsdResult(True)
 

@@ -1,8 +1,10 @@
 import itertools
 import re
+import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +28,10 @@ from bifree.models import CovarianceSpec, VectorSpec, group_example_dist
 from bifree.scalars import ONE, GaussianRational, decimal_magnitude, format_scalar, qi
 from bifree.words import (LEFT, RIGHT, FaceSignature, FamilyFaces, Letter, format_word,
                           two_faced)
+
+# the benchmark's input writer, imported read-only as its own tests do
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 MINIMAL = """\
 # family 1 left: a
@@ -669,7 +675,7 @@ def test_the_parser_fills_one_rank_list_from_a_body_in_any_order():
         bifree_io._parse_table(cut, "moments", "degree")
 
 
-def test_a_body_in_emission_order_is_never_read_line_by_line(monkeypatch):
+def test_a_body_in_emission_order_is_never_read_line_by_line(monkeypatch, tmp_path):
     read = []
     body_lines = bifree_io._body_lines
     monkeypatch.setattr(bifree_io, "_body_lines",
@@ -678,12 +684,45 @@ def test_a_body_in_emission_order_is_never_read_line_by_line(monkeypatch):
     dist = group_example_dist([2, 3], 4)
     text = format_distribution(dist)
     assert parse_distribution(text) == dist and read == []
+    # every table text bifree's writers and the benchmark's inputs hold
+    sig = dist.signature
+    cumulants = cumulants_from_moments(dist, 4)
+    cov = CovarianceSpec(sig, {pair: dist.get(pair)
+                               for pair in itertools.product(sig.letters(), repeat=2)})
+    assert parse_cumulant_table(format_cumulant_table(cumulants)) == cumulants
+    assert parse_covariance(format_covariance(cov)) == cov
+    for workload in ("engine_tables", "cumulant_chain"):
+        (tmp_path / workload).mkdir()
+        workloads.make_inputs(workload, 1, tmp_path / workload)
+    parsers = {".dist": parse_distribution, ".cov": parse_covariance}
+    names = {"r1.dist", "r2.dist", "x.dist", "y.dist", "cov.cov", "m.dist", "clt.dist"}
+    tables = [path for path in sorted(tmp_path.glob("*/*")) if path.suffix in parsers]
+    assert {path.name for path in tables} == names
+    for path in tables:
+        parsers[path.suffix](path.read_text(encoding="utf-8"))
+    assert read == []
     # the one or two blocks that hold two swapped lines are read line by
     # line, the other blocks (about 50) not
     lines = text.splitlines()
     lines[100], lines[101] = lines[101], lines[100]
     assert parse_distribution("\n".join(lines) + "\n") == dist
     assert 1 <= len(read) <= 2
+    # a line moved back: its own block and the block it left are read line
+    # by line, and the first unfilled slot then jumps past the slot the
+    # moved line filled, over key texts the reader never compares
+    jumps = []
+    slots = bifree_io._KeyTexts.slots
+
+    def counted(keys, first, count):
+        jumps.append(first - keys._base > len(keys._held))
+        return slots(keys, first, count)
+
+    monkeypatch.setattr(bifree_io._KeyTexts, "slots", counted)
+    read.clear()
+    lines = text.splitlines()
+    lines.insert(60, lines.pop(150))
+    assert parse_distribution("\n".join(lines) + "\n") == dist
+    assert len(read) == 2 and jumps.count(True) == 1
 
 
 @pytest.mark.parametrize("block", [0, 30, bifree_io._LINE_BLOCK])
