@@ -227,17 +227,22 @@ def tabulate(signature: FaceSignature, degree: int, start,
     swapping them where adjacent keeps every moment.  The relation must be
     symmetric and irreflexive; None, like all zeros, commutes nothing and
     walks every word at one step each.  A word's moment then depends only
-    on its class under such swaps, and the walk steps only the classes'
-    lexicographic normal forms, their lowest-ranked words (Cartier and
-    Foata 1969; Anisimov and Knuth, "Inhomogeneous sorting", 1979).  With
-    M(u) the letters of u that commute with every letter before them, x.u
-    is a normal form iff u is one and no letter of M(u) below x commutes
-    with x; then M(x.u) = {x} + (M(u) & C[x]).  A child that fails the test
-    is a point p of length m and rank r: every word y.p is in no normal
-    form and has the moment of y.NF(p), so each length k >= m takes one
-    strided copy from the rank r' of NF(p).  Points fill longest first,
-    since the words y.NF(p) that are not normal forms lie below longer
-    points.
+    on its class under such swaps, and the walk steps one word per class,
+    its normal form read from the right, the word whose reversal ranks
+    lowest (Cartier and Foata 1969; Anisimov and Knuth, "Inhomogeneous
+    sorting", 1979): its last letter is the lowest that swaps can move to
+    the end, and so on leftwards, so every suffix of a normal form is one.
+    With N(u) the letters x for which x.u is a normal form, N(()) is every
+    letter and N(a.v) is the letters that do not commute with a, with those
+    above a in N(v).  A child x.u outside N(u) is a point p of length m and
+    rank r: every word y.p is in no normal form and has the moment of
+    y.NF(p), so each length k >= m takes one strided copy from the rank of
+    NF(p), which is u with x inserted after the last letter above x in u's
+    leading run of letters that commute with x.  With letters 0 < 1 < 2, 0
+    commuting with 1 and 1 with 2, the class of 2 0 1 has the normal form
+    2 1 0, that is 2 inserted before 1 0, the normal form of 0 1.  Points
+    fill longest first, since the words y.NF(p) that are not normal forms
+    lie below longer points.
     """
     if degree < 1:
         raise DomainError("degree bound must be >= 1")
@@ -246,11 +251,10 @@ def tabulate(signature: FaceSignature, degree: int, start,
     size = len(letters)
     commuting = [0] * size if commuting is None else list(commuting)
     _check_relation(commuting, size)
-    bits = [1 << i for i in range(size)]
-    # (index, letter, the letters below it that it commutes with, C[letter])
-    alphabet = tuple((i, letter, commuting[i] & (bits[i] - 1), commuting[i])
+    every = (1 << size) - 1
+    # (index, letter, bit, the letters it does not commute with, those above it)
+    alphabet = tuple((i, letter, 1 << i, every ^ commuting[i], every >> i + 1 << i + 1)
                      for i, letter in enumerate(letters))
-    blocking = [(1 << size) - 1 & ~mask for mask in commuting]
     moments = [None] * signature.word_count(degree)
     moments[0] = read(start, 0)
     lengths = range(signature.longest(degree) + 1)
@@ -258,43 +262,33 @@ def tabulate(signature: FaceSignature, degree: int, start,
     offsets = [signature.word_count(n - 1) for n in lengths]
     points: list[list[int]] = [[] for _ in lengths]
 
-    def extend(state, within: int, length: int, front: int) -> None:
+    def extend(state, within: int, length: int, normal: int) -> None:
         stride, offset, skipped = powers[length - 1], offsets[length], points[length]
-        for i, letter, lower, commute in alphabet:
+        for i, letter, bit, blocked, above in alphabet:
             rank = i * stride + within
-            if front & lower:
+            if not normal & bit:
                 skipped.append(rank)
                 continue
             grown = step(letter, state, degree - length)
             moments[offset + rank] = read(grown, length)
             if length < degree:
-                extend(grown, rank, length + 1, bits[i] | front & commute)
+                extend(grown, rank, length + 1, blocked | normal & above)
 
     def normal_rank(rank: int, length: int) -> int:
-        """The rank of the normal form of the word of `rank` and `length`:
-        each letter in turn is the lowest that no letter left before it
-        blocks.  It is not the normal form of the word's tail with the
-        first letter inserted: with letters 0 < 1 < 2, 0 commuting with 1
-        and 1 with 2, NF(2 0 1) is 1 2 0, while inserting 2 into NF(0 1)
-        gives 2 0 1."""
-        word = []
-        for _ in range(length):
-            rank, i = divmod(rank, size)
-            word.append(i)
-        word.reverse()
-        normal = 0
-        while word:
-            seen, first, at = 0, size, 0
-            for j, i in enumerate(word):
-                if i < first and not seen & blocking[i]:
-                    first, at = i, j
-                seen |= bits[i]
-            normal = normal * size + first
-            del word[at]
-        return normal
+        """The rank of NF(p) for the point p of `rank` and `length`."""
+        x, tail = divmod(rank, powers[length - 1])
+        after = length - 1  # the letters of the tail after x in NF(p)
+        for n in reversed(range(length - 1)):  # n letters follow this one
+            letter = tail // powers[n] % size
+            if not commuting[x] >> letter & 1:
+                break
+            if letter > x:
+                after = n
+        high, low = divmod(tail, powers[after])
+        return (high * size + x) * powers[after] + low
 
     if alphabet:
-        extend(start, 0, 1, 0)
+        extend(start, 0, 1, every)
     for length in reversed(lengths):
         stride = powers[length]
         for rank in points[length]:

@@ -260,11 +260,13 @@ def gram_psd_check(mu: Distribution, degree: int) -> PsdResult:
     n = signature.word_count(half)
     check_size(n * n, f"the Gram matrix of {n} words")
     basis = list(signature.words(half))
-    # a parsed table shares its scalar objects, so each object is dilated once
-    distinct = {id(v): v for v in mu.ranked}
+    # only the words of length <= 2 * half are read; a parsed table shares
+    # its scalar objects, so each object is dilated once
+    read = mu.ranked[:signature.word_count(2 * half)]
+    distinct = {id(v): v for v in read}
     dilation = Dilation(distinct.values())
     dilated = {key: dilation.dilated(v, 1) for key, v in distinct.items()}
-    entries = [dilated[id(v)] for v in mu.ranked[:signature.word_count(2 * half)]]
+    entries = [dilated[id(v)] for v in read]
     # The words u* + w with |u*| = p, |w| = q and u* of rank s among the
     # words of length p fill, in the order of w, the L^q ranks from
     # offset(p + q) + s * L^q on.

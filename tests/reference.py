@@ -16,6 +16,8 @@ operators to tensors of coordinate vectors, one word at a time, sharing
 nothing with the library's Fock walk but `VectorSpec.operator_vectors`.
 The group example's moments reduce each word's product of translations on
 a stack, one word at a time, sharing nothing with the library's walk.
+The normal forms of a commutation relation are found by searching each
+class by swaps, sharing nothing with the walk's insertion rule.
 The Gram positivity check eliminates over the rationals, where the library
 eliminates fraction-free on the dilated integers; the two share only the
 involution and the witness's self-check `gram_quadratic_form`.  The
@@ -610,6 +612,33 @@ def s_transform(dist: Distribution, a: Letter, b: Letter, order: int):
     assert not any(v for (i, j), v in numerator.items() if not (i and j))
     shifted = {(i - 1, j - 1): v for (i, j), v in numerator.items() if i and j}
     return series_mul({(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}, shifted, order)
+
+
+# ---------------------------------------------------------------------------
+# Classes under swaps of adjacent commuting letters
+
+
+def swap_normal_forms(signature, degree, commute) -> dict:
+    """word -> the normal form of its class under swaps of adjacent letters
+    a, b with `commute(a, b)`: the word whose reversal ranks lowest, found
+    by searching the whole class."""
+    rank = {word: r for r, word in enumerate(signature.words(degree))}
+    normal = {}
+    for word in rank:
+        if word in normal:
+            continue
+        seen, todo = {word}, [word]
+        while todo:
+            w = todo.pop()
+            for i in range(len(w) - 1):
+                if commute(w[i], w[i + 1]):
+                    v = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+                    if v not in seen:
+                        seen.add(v)
+                        todo.append(v)
+        first = min(seen, key=lambda w: rank[w[::-1]])
+        normal.update((w, first) for w in seen)
+    return normal
 
 
 # ---------------------------------------------------------------------------

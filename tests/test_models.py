@@ -6,6 +6,7 @@ from reference import annih_left, create_left, fock_apply, fock_vacuum
 from util import from_words, rand_dist, rand_scalar
 
 import bifree.dist
+import bifree.models
 from bifree.cli import main
 from bifree.cumulant import cumulants_from_moments
 from bifree.dist import Distribution, point_distribution
@@ -17,7 +18,7 @@ from bifree.models import (CovarianceSpec, VectorSpec, _FockWalk, _involution,
                            covariance_from_vectors,
                            fock_distribution, gaussian_dist, gram_psd_check,
                            gram_quadratic_form, group_example_dist)
-from bifree.scalars import ONE, ZERO, qi
+from bifree.scalars import ONE, ZERO, Dilation, qi
 from bifree.words import LEFT, RIGHT, FaceSignature, FamilyFaces, Letter, two_faced, word_star
 
 SIG_LR = two_faced(left=("a",), right=("b",), family=1)
@@ -421,6 +422,34 @@ def test_the_gram_fill_by_rank_matches_the_rational_elimination(rng, sig):
                     moments = dict(mu.moments)
                     moments[word] = moments[word] + ONE
                     _same_outcome(from_words(Distribution, sig, table_degree, moments), degree)
+
+
+@pytest.mark.parametrize("build", ["group", "fock"])
+def test_the_gram_setup_dilates_only_the_words_it_reads(rng, monkeypatch, build):
+    # the words of length 5 are past 2 * (5 // 2): a huge denominator or an
+    # imaginary part there reaches neither the dilation nor the result
+    if build == "group":
+        mu = group_example_dist([2, 3], 5)
+    else:
+        mu = _fock_table(GRAM_SIGNATURES["reversal"], 5, rng, False)
+    read = mu.signature.word_count(4)
+    truncated = Distribution(mu.signature, 4, mu.ranked[:read])
+    moments = list(mu.ranked)
+    moments[read] = moments[read] + qi(1, 7 ** 40)
+    moments[-1] = moments[-1] + qi(0, 1, 1)
+    changed = Distribution(mu.signature, 5, moments)
+    seen = []
+
+    def recording(values):
+        values = list(values)
+        seen.extend(values)
+        return Dilation(values)
+
+    monkeypatch.setattr(bifree.models, "Dilation", recording)
+    result = gram_psd_check(changed, 5)
+    assert not any(v is moments[read] or v is moments[-1] for v in seen)
+    assert result == gram_psd_check(truncated, 4)
+    assert result.positive == (build == "fock")
 
 
 def test_oversize_gram_matrix_and_gaussian_table_are_refused(monkeypatch, tmp_path, capsys):

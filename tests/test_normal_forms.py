@@ -3,9 +3,10 @@ it takes, and the moments it copies, checked word by word against walks
 and oracles that take no relation."""
 
 import collections
+import random
 
 import pytest
-from reference import group_moment, naive_joint_moment
+from reference import group_moment, naive_joint_moment, swap_normal_forms
 from util import rand_dist
 
 import bifree.dist
@@ -16,7 +17,7 @@ from bifree.dist import group_families, ones_distribution, tabulate
 from bifree.engine import bifree_product, joint_moment
 from bifree.errors import DomainError
 from bifree.models import VectorSpec, fock_distribution, group_example_dist, group_signature
-from bifree.scalars import ONE
+from bifree.scalars import ONE, qi
 from bifree.words import FaceSignature, FamilyFaces, Letter, two_faced
 
 PAIR = [two_faced(("a",), ("b",), family=k) for k in (1, 2)]
@@ -102,26 +103,47 @@ def test_walks_without_a_relation_step_every_word(rng, steps):
 # copied moments
 
 
-def _normal_forms(signature, degree, commute):
-    """word -> whether it is the lowest-ranked word of its class under swaps
-    of adjacent commuting letters, found by searching the class."""
-    rank = {word: r for r, word in enumerate(signature.words(degree))}
-    normal = {}
-    for word in rank:
-        if word in normal:
-            continue
-        seen, todo = {word}, [word]
-        while todo:
-            w = todo.pop()
-            for i in range(len(w) - 1):
-                if commute(w[i], w[i + 1]):
-                    v = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
-                    if v not in seen:
-                        seen.add(v)
-                        todo.append(v)
-        first = min(seen, key=rank.__getitem__)
-        normal.update((w, w == first) for w in seen)
-    return normal
+def _relations():
+    """(letters, degree, commuting pairs): every symmetric irreflexive
+    relation on 2 and 3 letters, the chain 0 - 1 - 2 among them, then 30
+    seeded random ones on 4 and 5 letters."""
+    out = []
+    for size, degree in ((2, 5), (3, 5)):
+        pairs = [(i, j) for i in range(size) for j in range(i)]
+        for chosen in range(1 << len(pairs)):
+            out.append((size, degree, [pairs[k] for k in range(len(pairs)) if chosen >> k & 1]))
+    rng = random.Random(1306)
+    for size in [4] * 15 + [5] * 15:
+        out.append((size, 4, [(i, j) for i in range(size) for j in range(i)
+                              if rng.random() < 0.5]))
+    return out
+
+
+@pytest.mark.parametrize("size, degree, pairs", _relations())
+def test_the_walk_steps_one_word_per_class_and_copies_its_value(size, degree, pairs):
+    # the state is the word itself and `read` gives each class its own value,
+    # so a copy from any word outside the class reads a wrong value
+    sig = two_faced(tuple("abcde"[:size - size // 2]), tuple("vwxyz"[:size // 2]), family=1)
+    index = {letter: i for i, letter in enumerate(sig.letters())}
+    related = {frozenset(p) for p in pairs}
+
+    def commute(a, b):
+        return frozenset((index[a], index[b])) in related
+
+    normal = swap_normal_forms(sig, degree, commute)
+    classes = {first: qi(k + 1) for k, first in enumerate(sorted(set(normal.values()),
+                                                                  key=sig.rank))}
+    stepped = []
+
+    def step(letter, word, remaining):
+        stepped.append((letter,) + word)
+        return (letter,) + word
+
+    table = tabulate(sig, degree, (), step, lambda word, n: classes[normal[word]],
+                     bifree.dist.commutation(sig.letters(), commute))
+    assert all(table.moment(w) == classes[first] for w, first in normal.items())
+    assert len(stepped) == len(classes) - 1
+    assert set(stepped) == set(classes) - {()}
 
 
 def _assert_swaps_keep_moments(table, commute):
@@ -168,10 +190,10 @@ def test_products_match_walks_without_a_relation(rng, signatures, with_imag):
     def pool(word):
         return tuple(Letter(of[l.family], l.side, f"{l.family}:{l.index}", l.star) for l in word)
 
-    normal = _normal_forms(table.signature, 4, commute)
+    normal = swap_normal_forms(table.signature, 4, commute)
     for word, value in table.moments.items():
         assert joint_moment(pooled, pool(word)) == value, word
-    others = [w for w, is_normal in normal.items() if not is_normal]
+    others = [w for w, first in normal.items() if w != first]
     assert others
     for word in rng.sample(others, min(len(others), 40)):
         assert naive_joint_moment(pooled, pool(word)) == table.moment(word), word
@@ -183,7 +205,7 @@ def test_check_bifree_finds_no_mismatch_in_its_own_prediction(rng):
     assert bifree.engine.check_bifree(joint, 5).ok
     moments = list(joint.ranked)
     # one changed moment of a word that is not a normal form is found
-    word = (Letter(2, "right", "b"), Letter(1, "left", "a"))
+    word = (Letter(1, "left", "a"), Letter(2, "right", "b"))
     moments[joint.signature.rank(word)] += ONE
     changed = bifree.dist.Distribution(joint.signature, 5, moments)
     report = bifree.engine.check_bifree(changed, 5)
